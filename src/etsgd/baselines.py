@@ -128,7 +128,8 @@ class ThresholdNode:
             raise ProtocolError(
                 f"node {self.node_id} got a message from non-neighbor {msg.sender}"
             )
-        self.neighbor_models[msg.sender] = np.array(msg.payload, dtype=float)
+        # a payload is the sender's private copy and is never mutated, so it is kept as is
+        self.neighbor_models[msg.sender] = msg.payload
 
     def advance(self):
         if self.finished:
@@ -150,8 +151,10 @@ class ThresholdNode:
         outbox = []
         fired = drift > gate
         if fired:
+            # advance rebinds self.w rather than writing into it, so one
+            # snapshot serves as both the drift reference and the payload
             self.last_sent = self.w.copy()
-            out = Message(self.node_id, self.w.copy(), self.round_index)
+            out = Message(self.node_id, self.last_sent, self.round_index)
             outbox = [(dest, out) for dest in sorted(self.neighbor_models)]
             self.broadcasts += 1
             self.round_index += 1

@@ -259,14 +259,12 @@ def run_experiment(
     curves: dict[int, list[tuple[int, int, float, float | None]]] = {
         i: [] for i in range(cfg.n)
     }
-    labeled = isinstance(objective, Logistic)
 
     def round_hook(node, rnd, now):
         if cfg.eval_every == 0 or (rnd + 1) % cfg.eval_every != 0:
             return
         done = node.t if cfg.algorithm == "threshold" else sum(budgets[: rnd + 1])
-        loss = objective.loss(node.w, held)
-        acc = objective.accuracy(node.w, held) if labeled else None
+        loss, acc = objective.evaluate(node.w, held)
         curves[node.node_id].append((rnd, done, loss, acc))
 
     sim = Simulation(nodes, topo, DelayModel(cfg.compute_range, cfg.network_range), cfg.seed)
@@ -288,8 +286,7 @@ def run_experiment(
 
     node_metrics = []
     for i, node in enumerate(nodes):
-        loss = objective.loss(node.w, held)
-        acc = objective.accuracy(node.w, held) if labeled else None
+        loss, acc = objective.evaluate(node.w, held)
         node_metrics.append(
             NodeMetrics(
                 node=i,

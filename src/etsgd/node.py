@@ -198,7 +198,7 @@ class ComputeNode:
         """How many rounds this node runs ahead of its slowest neighbor."""
         if not self.received:
             return 0
-        return max(self.round_index - got for got in self.received.values())
+        return self.round_index - min(self.received.values())
 
     def check_sync(self) -> bool:
         """True when the node may take a step now; False means wait for messages."""
@@ -208,7 +208,7 @@ class ComputeNode:
         """Apply a neighbor's round gradient sum and bump its received counter."""
         if msg.sender not in self.received:
             raise ProtocolError(f"node {self.node_id}: message from non-neighbor {msg.sender}")
-        self.w = self.w - self.etas[msg.round_index] * msg.payload
+        self.w -= self.etas[msg.round_index] * msg.payload
         self.received[msg.sender] += 1
 
     def local_step(self) -> None:
@@ -223,15 +223,16 @@ class ComputeNode:
             )
         idx = int(self.indices[self.rng.integers(len(self.indices))])
         g = self.objective.grad(self.w, self.data, idx)
-        self.w = self.w - self.etas[self.round_index] * g
+        self.w -= self.etas[self.round_index] * g
         self.grad_sum += g
         self.step_in_round += 1
 
     def end_of_round(self) -> list[tuple[int, Message]]:
         """Close the round: emit (neighbor, message) pairs and advance to the next round.
 
-        Every neighbor gets the same payload; the copy is taken once so later
-        local steps cannot alter messages in flight.
+        Every neighbor gets the same payload: the round's gradient sum itself,
+        handed over rather than copied.  The node starts the next round on a
+        fresh zero array, so later local steps cannot alter messages in flight.
         """
         if self.finished:
             raise ProtocolError(f"node {self.node_id}: no round in progress")
@@ -240,7 +241,7 @@ class ComputeNode:
                 f"node {self.node_id}: round {self.round_index} has "
                 f"{self.step_in_round}/{self.budgets[self.round_index]} steps done"
             )
-        msg = Message(self.node_id, self.grad_sum.copy(), self.round_index)
+        msg = Message(self.node_id, self.grad_sum, self.round_index)
         outbox = [(dest, msg) for dest in sorted(self.received)]
         self.round_index += 1
         self.step_in_round = 0

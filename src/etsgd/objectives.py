@@ -21,6 +21,9 @@ from .rngs import DATA_STREAM, stream
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
+# the bias input appended to every feature row in Logistic.grad
+_ONE = np.ones(1)
+
 
 class ObjectiveError(ValueError):
     """Raised for shape mismatches and unsupported objective operations."""
@@ -72,7 +75,11 @@ class Dataset:
 
 
 class MeanQuadratic:
-    """f(w; x) = 0.5*||w - x||^2, averaged over the dataset; minimized by the mean."""
+    """f(w; x) = 0.5*||w - x||^2, averaged over the dataset; minimized by the mean.
+
+    evaluate(w, ds) returns (loss, None): accuracy is undefined for a
+    quadratic target, and accuracy() raises.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -83,10 +90,13 @@ class MeanQuadratic:
         self._check(w, ds, idx)
         return w - ds.features[idx]
 
-    def loss(self, w: np.ndarray, ds: Dataset) -> float:
+    def evaluate(self, w: np.ndarray, ds: Dataset) -> tuple[float, None]:
         self._check(w, ds, 0)
         diff = w[None, :] - ds.features
-        return 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
+        return 0.5 * float(np.mean(np.sum(diff * diff, axis=1))), None
+
+    def loss(self, w: np.ndarray, ds: Dataset) -> float:
+        return self.evaluate(w, ds)[0]
 
     def accuracy(self, w: np.ndarray, ds: Dataset) -> float:
         raise ObjectiveError("accuracy is undefined for a quadratic target")
@@ -109,6 +119,10 @@ class Logistic:
     The trailing column of the reshaped weight matrix is the bias.  The L2
     term, when nonzero, applies to the full parameter vector.  Predicted
     class is the argmax of the logits; ties resolve to the lowest class id.
+
+    evaluate(w, ds) returns (loss, accuracy) from one pass of the logits
+    over the dataset; loss() and accuracy() each take their half of it, so
+    a caller that needs both should call evaluate once.
     """
 
     def __init__(self, features_dim: int, classes: int, l2: float = 0.0):
@@ -128,18 +142,18 @@ class Logistic:
         if y >= self.classes:
             raise ObjectiveError(f"label {y} out of range for {self.classes} classes")
         W = w.reshape(self.classes, self.features_dim + 1)
-        xt = np.append(x, 1.0)
+        xt = np.concatenate((x, _ONE))
         z = W @ xt
         z -= z.max()
         p = np.exp(z)
         p /= p.sum()
         p[y] -= 1.0
-        g = np.outer(p, xt)
+        g = p[:, None] * xt
         if self.l2:
             g = g + self.l2 * W
         return g.ravel()
 
-    def loss(self, w: np.ndarray, ds: Dataset) -> float:
+    def evaluate(self, w: np.ndarray, ds: Dataset) -> tuple[float, float]:
         self._check(w, ds, 0)
         logits = self._logits(w, ds)
         rows = np.arange(ds.m)
@@ -154,12 +168,13 @@ class Logistic:
         ce = float(np.mean((zmax - picked) + np.log1p(rest.sum(axis=1))))
         if self.l2:
             ce += 0.5 * self.l2 * float(w @ w)
-        return ce
+        return ce, float(np.mean(top == ds.labels))
+
+    def loss(self, w: np.ndarray, ds: Dataset) -> float:
+        return self.evaluate(w, ds)[0]
 
     def accuracy(self, w: np.ndarray, ds: Dataset) -> float:
-        self._check(w, ds, 0)
-        pred = np.argmax(self._logits(w, ds), axis=1)
-        return float(np.mean(pred == ds.labels))
+        return self.evaluate(w, ds)[1]
 
     def _logits(self, w: np.ndarray, ds: Dataset) -> np.ndarray:
         W = w.reshape(self.classes, self.features_dim + 1)

@@ -30,6 +30,9 @@ STEP_DONE = 0
 DELIVER = 1
 WAKE = 2
 
+# every record kind the engine writes; Trace.read rejects any other
+EVENTS = frozenset(("grad", "round_end", "apply", "wait_enter", "wait_exit"))
+
 _COMPUTING = "computing"
 _WAITING = "waiting"
 _DONE = "done"
@@ -126,12 +129,31 @@ class Trace:
                 if len(parts) != 6:
                     raise SimError(f"{path}:{lineno}: malformed trace line {raw!r}")
                 t, node, kind, rnd, step, detail = parts
+                if kind not in EVENTS:
+                    raise SimError(f"{path}:{lineno}: event: unknown event {kind!r}")
                 records.append(
-                    TraceRecord(float(t), int(node), kind, int(rnd), int(step) if step else -1, detail)
+                    TraceRecord(
+                        _number(path, lineno, "time", float, t),
+                        _number(path, lineno, "node", int, node),
+                        kind,
+                        _number(path, lineno, "round", int, rnd),
+                        _number(path, lineno, "h", int, step) if step else -1,
+                        detail,
+                    )
                 )
         if n is None:
             raise SimError(f"{path}: missing '# nodes' header")
         return Trace(n, tuple(edges), records)
+
+
+def _number(path, lineno: int, field: str, convert, text: str):
+    """One numeric trace field, or a SimError naming its file, line and column."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise SimError(
+            f"{path}:{lineno}: {field}: expected {convert.__name__}, got {text!r}"
+        ) from None
 
 
 @dataclass

@@ -107,6 +107,7 @@ class TestThresholdNode:
         node = make_threshold_node(data=data)
         peer = np.array([1.0, -2.0])
         node.on_receive(Message(1, peer, 0))
+        assert node.neighbor_models[1] is peer  # the payload is kept, not copied
         node.advance()
         assert np.allclose(node.w, 0.02252 * peer)
 
@@ -121,6 +122,7 @@ class TestThresholdNode:
         assert np.array_equal(node.last_sent, node.w)
         payload = outbox[0][1].payload
         assert np.array_equal(payload, node.w)
+        assert node.last_sent is payload  # one snapshot per broadcast
         node.advance()
         assert np.array_equal(payload, outbox[0][1].payload)  # copy, not a view
 

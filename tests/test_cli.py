@@ -178,6 +178,12 @@ class TestValidateTrace:
         err = capsys.readouterr().err
         assert "violation(s) at d=0" in err
 
+    def test_malformed_trace_names_line(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trace"
+        trace.write_text("# nodes 1\ntime,node,event,round,h,detail\nabc,0,grad,0,1,\n")
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
+        assert f"{trace}:3: time: " in capsys.readouterr().err
+
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli(["validate-trace", "--trace", str(tmp_path / "no.trace"),
                         "--d", "1"]) == 1

@@ -69,8 +69,10 @@ class TestMeanQuadratic:
         assert obj.loss(w, Dataset(w[None, :])) == 0.0
 
     def test_accuracy_undefined(self):
+        ds = Dataset(np.array([[1.0, 2.0], [3.0, 0.0]]))
         with pytest.raises(ObjectiveError):
-            MeanQuadratic(2).accuracy(np.zeros(2), Dataset(np.zeros((1, 2))))
+            MeanQuadratic(2).accuracy(np.zeros(2), ds)
+        assert MeanQuadratic(2).evaluate(np.zeros(2), ds) == (3.5, None)
 
     def test_index_bounds(self):
         obj = MeanQuadratic(2)
@@ -105,6 +107,34 @@ class TestLogistic:
                 wm[j] -= eps
                 fd[j] = (obj.loss(wp, probe) - obj.loss(wm, probe)) / (2 * eps)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
+
+    def test_gradient_matches_outer_product_reference(self):
+        # reference formulation with np.append and np.outer: the same
+        # products and sums, so the oracle must equal it bit for bit
+        obj = Logistic(3, 4, 0.05)
+        ds = synthetic_blobs(9, 30, 3, 4, 2.0)
+        w = np.random.default_rng(6).normal(0, 1, obj.dim)
+        W = w.reshape(4, 4)
+        for idx in range(ds.m):
+            xt = np.append(ds.features[idx], 1.0)
+            z = W @ xt
+            z -= z.max()
+            p = np.exp(z)
+            p /= p.sum()
+            p[ds.labels[idx]] -= 1.0
+            ref = (np.outer(p, xt) + obj.l2 * W).ravel()
+            assert np.array_equal(obj.grad(w, ds, idx), ref)
+
+    def test_evaluate_gives_loss_and_accuracy(self):
+        obj = Logistic(3, 4, 0.05)
+        ds = synthetic_blobs(2, 40, 3, 4, 2.0)
+        w = np.random.default_rng(3).normal(0, 1, obj.dim)
+        W = w.reshape(4, 4)
+        z = ds.features @ W[:, :-1].T + W[:, -1]
+        ce = np.log(np.exp(z).sum(axis=1)) - z[np.arange(ds.m), ds.labels]
+        loss, acc = obj.evaluate(w, ds)
+        assert loss == pytest.approx(ce.mean() + 0.5 * 0.05 * float(w @ w), rel=1e-12)
+        assert acc == float(np.mean(z.argmax(axis=1) == ds.labels))
 
     def test_uniform_loss_at_zero(self):
         obj = Logistic(2, 4)

@@ -176,6 +176,24 @@ class TestTraceIO:
         with pytest.raises(SimError):
             Trace.read(path)
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("abc,0,grad,0,1,", "time"),
+            ("1.0,x,grad,0,1,", "node"),
+            ("1.0,0,grad,1.5,1,", "round"),
+            ("1.0,0,grad,0,h,", "h"),
+            ("1.0,0,bogus,0,1,", "event"),
+        ],
+    )
+    def test_bad_field_names_line_and_field(self, tmp_path, line, field):
+        path = tmp_path / "bad.trace"
+        path.write_text(f"# nodes 2\n# edge 0 1\ntime,node,event,round,h,detail\n"
+                        f"0.5,1,apply,0,,from=0\n{line}\n")
+        with pytest.raises(SimError) as err:
+            Trace.read(path)
+        assert str(err.value).startswith(f"{path}:5: {field}: ")
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("time,node,event,round,h,detail\n")
