@@ -47,7 +47,7 @@ from .schedules import (
     step_size,
     tau,
 )
-from .simnet import DelayModel, SimResult, Simulation, Trace, simulate
+from .simnet import DelayModel, SimResult, Simulation, Trace
 from .topology import Topology, complete, from_edges, line, neighbors, ring
 
 __version__ = "0.1.0"
@@ -92,7 +92,6 @@ __all__ = [
     "sample_size",
     "serial_sgd",
     "setup",
-    "simulate",
     "step_size",
     "sweep",
     "synthetic_blobs",

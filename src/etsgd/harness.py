@@ -19,6 +19,7 @@ from . import consistency
 from .baselines import ThresholdNode, default_threshold_schedules
 from .node import ComputeNode, assignment_from_budgets
 from .objectives import (
+    EVAL_BATCH,
     Dataset,
     Logistic,
     MeanQuadratic,
@@ -260,17 +261,28 @@ def run_experiment(
         i: [] for i in range(cfg.n)
     }
 
+    # round snapshots wait here and are evaluated EVAL_BATCH at a time
+    pending: list[tuple[int, int, int, np.ndarray]] = []
+
+    def flush():
+        results = objective.evaluate_many([w for *_, w in pending], held)
+        for (node_id, rnd, done, _), (loss, acc) in zip(pending, results):
+            curves[node_id].append((rnd, done, loss, acc))
+        pending.clear()
+
     def round_hook(node, rnd, now):
         if cfg.eval_every == 0 or (rnd + 1) % cfg.eval_every != 0:
             return
         done = node.t if cfg.algorithm == "threshold" else sum(budgets[: rnd + 1])
-        loss, acc = objective.evaluate(node.w, held)
-        curves[node.node_id].append((rnd, done, loss, acc))
+        pending.append((node.node_id, rnd, done, node.w.copy()))
+        if len(pending) == EVAL_BATCH:
+            flush()
 
     sim = Simulation(nodes, topo, DelayModel(cfg.compute_range, cfg.network_range), cfg.seed)
     for node_id, factor in sorted(cfg.stragglers.items()):
         sim.set_straggler(node_id, factor)
     result = sim.run(round_hook)
+    flush()
 
     if cfg.algorithm == "scheduled":
         for i, done in enumerate(result.rounds_completed):
@@ -284,9 +296,9 @@ def run_experiment(
         delay_ok = None
         rounds_total = max(result.rounds_completed, default=0)
 
+    finals = objective.evaluate_many([node.w for node in nodes], held)
     node_metrics = []
-    for i, node in enumerate(nodes):
-        loss, acc = objective.evaluate(node.w, held)
+    for i, (node, (loss, acc)) in enumerate(zip(nodes, finals)):
         node_metrics.append(
             NodeMetrics(
                 node=i,

@@ -19,6 +19,7 @@ trace) can ride the engine; the threshold baseline reuses it unchanged.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -116,12 +117,15 @@ class Trace:
         n = None
         edges = []
         records = []
+        last = 0.0
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             if raw.startswith("# nodes "):
-                n = int(raw.split()[2])
+                n = _number(path, lineno, "nodes", int, raw[len("# nodes "):].strip())
             elif raw.startswith("# edge "):
-                _, _, u, v = raw.split()
-                edges.append((int(u), int(v)))
+                ends = raw.split()[2:]
+                if len(ends) != 2:
+                    raise SimError(f"{path}:{lineno}: edge: expected two node ids, got {ends}")
+                edges.append(tuple(_number(path, lineno, "edge", int, e) for e in ends))
             elif not raw or raw.startswith("#") or raw.startswith("time,"):
                 continue
             else:
@@ -131,9 +135,17 @@ class Trace:
                 t, node, kind, rnd, step, detail = parts
                 if kind not in EVENTS:
                     raise SimError(f"{path}:{lineno}: event: unknown event {kind!r}")
+                time = _number(path, lineno, "time", float, t)
+                # virtual time starts at 0 and never goes back; NaN fails too
+                if not last <= time < math.inf:
+                    raise SimError(
+                        f"{path}:{lineno}: time: expected a finite time not before {last!r}, "
+                        f"got {t!r}"
+                    )
+                last = time
                 records.append(
                     TraceRecord(
-                        _number(path, lineno, "time", float, t),
+                        time,
                         _number(path, lineno, "node", int, node),
                         kind,
                         _number(path, lineno, "round", int, rnd),
@@ -309,18 +321,3 @@ class Simulation:
             nodes=self.nodes,
         )
 
-
-def simulate(
-    nodes,
-    topo: Topology,
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    *,
-    stragglers: dict[int, float] | None = None,
-    round_hook: Callable | None = None,
-) -> SimResult:
-    """Convenience wrapper: configure a Simulation and run it."""
-    sim = Simulation(nodes, topo, delay_model, seed)
-    for node_id, factor in (stragglers or {}).items():
-        sim.set_straggler(node_id, factor)
-    return sim.run(round_hook)

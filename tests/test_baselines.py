@@ -13,7 +13,7 @@ from etsgd.schedules import (
     Linear,
     step_size,
 )
-from etsgd.simnet import simulate
+from etsgd.simnet import Simulation
 from etsgd.topology import neighbors, ring
 
 
@@ -49,7 +49,7 @@ class TestSerialSgd:
 
         node = ComputeNode(0, obj, ds, np.arange(ds.m), budgets, etas, [], 1, node_rng)
         topo = ring(1)
-        simulate([node], topo, seed=7)
+        Simulation([node], topo, seed=7).run()
         w_serial, _ = serial_sgd(obj, ds, k, step, seed=7, sample_sched=sched)
         assert np.array_equal(node.w, w_serial)
 
@@ -161,7 +161,7 @@ class TestThresholdNode:
                           neighbors(topo, i), stream(4, SAMPLE_STREAM, i), coeff=0.2)
             for i in range(3)
         ]
-        result = simulate(nodes, topo, seed=4)
+        result = Simulation(nodes, topo, seed=4).run()
         assert all(n.finished for n in nodes)
         assert result.messages_sent == result.messages_delivered
         # each recorded completion is one broadcast of two messages

@@ -184,6 +184,12 @@ class TestValidateTrace:
         assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
         assert f"{trace}:3: time: " in capsys.readouterr().err
 
+    def test_malformed_header_names_line(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trace"
+        trace.write_text("# nodes 2\n# edge 0\ntime,node,event,round,h,detail\n")
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
+        assert f"{trace}:2: edge: " in capsys.readouterr().err
+
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli(["validate-trace", "--trace", str(tmp_path / "no.trace"),
                         "--d", "1"]) == 1

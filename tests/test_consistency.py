@@ -13,7 +13,7 @@ from etsgd.node import Assignment, ComputeNode, assignment_from_budgets, setup, 
 from etsgd.objectives import MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
 from etsgd.schedules import Constant, Linear, step_size, Diminishing
-from etsgd.simnet import DelayModel, Simulation, Trace, TraceRecord, simulate
+from etsgd.simnet import DelayModel, Simulation, Trace, TraceRecord
 from etsgd.topology import line, neighbors, ring
 
 
@@ -27,7 +27,10 @@ def run_ring(n=3, budgets=(10, 10, 10), max_lag=1, seed=0, delay=None, straggler
                     neighbors(topo, i), max_lag, stream(seed, SAMPLE_STREAM, i))
         for i in range(n)
     ]
-    return simulate(nodes, topo, delay, seed=seed, stragglers=stragglers or {})
+    sim = Simulation(nodes, topo, delay, seed)
+    for node_id, factor in (stragglers or {}).items():
+        sim.set_straggler(node_id, factor)
+    return sim.run()
 
 
 class TestTimelineMap:
@@ -169,7 +172,7 @@ class TestIterationDelayVerifier:
                         neighbors(topo, i), 1, stream(0, SAMPLE_STREAM, i))
             for i in range(3)
         ]
-        result = simulate(nodes, topo, seed=0)
+        result = Simulation(nodes, topo, seed=0).run()
         tm = TimelineMap(assignment_from_budgets([budgets] * 3))
         report = verify_iteration_delay(result.trace, tm, 0)
         # nodes 0 and 2 are not adjacent, so windows they miss from each

@@ -11,8 +11,9 @@ import hashlib
 
 import pytest
 
+from etsgd import harness
 from etsgd.harness import ExperimentConfig, export_csv, run_experiment
-from etsgd.objectives import synthetic_blobs, write_idx
+from etsgd.objectives import EVAL_BATCH, Logistic, synthetic_blobs, write_idx
 
 
 def blobs_ring(_tmp_path):
@@ -94,3 +95,28 @@ def digests(cfg, tmp_path):
 @pytest.mark.parametrize("make_config", list(GOLDEN), ids=lambda f: f.__name__)
 def test_golden_digests(make_config, tmp_path):
     assert digests(make_config(tmp_path), tmp_path) == GOLDEN[make_config]
+
+
+def test_eval_batch_leaves_csv_unchanged(tmp_path, monkeypatch):
+    cfg = idx_logistic(tmp_path)
+    sizes = []
+    evaluate_many = Logistic.evaluate_many
+
+    def counted(self, ws, ds):
+        sizes.append(len(ws))
+        return evaluate_many(self, ws, ds)
+
+    monkeypatch.setattr(Logistic, "evaluate_many", counted)
+    csvs = {}
+    for batch in (1, EVAL_BATCH):
+        monkeypatch.setattr(harness, "EVAL_BATCH", batch)
+        sizes.clear()
+        path = tmp_path / f"batch{batch}.csv"
+        export_csv(run_experiment(cfg), path)
+        csvs[batch] = path.read_bytes()
+        # round snapshots come in full batches, then one partial flush,
+        # then one evaluation of the final models
+        *full, partial, final = sizes
+        assert set(full) == {batch} and 0 <= partial < batch and final == cfg.n
+    assert 0 < partial < EVAL_BATCH
+    assert csvs[1] == csvs[EVAL_BATCH]

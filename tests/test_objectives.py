@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from etsgd.objectives import (
+    EVAL_BATCH,
     BadMagicError,
     CountMismatchError,
     Dataset,
@@ -179,6 +180,39 @@ class TestLogistic:
             Logistic(2, 1)
         with pytest.raises(ObjectiveError):
             Logistic(2, 2, -0.1)
+
+
+class TestEvaluateMany:
+    """A model evaluated in a batch gets exactly what evaluate gives it alone."""
+
+    @staticmethod
+    def idx_shaped(rng, labeled=True):
+        pixels = rng.integers(0, 256, (300, 784)) / 255.0
+        return Dataset(pixels, rng.integers(0, 10, 300) if labeled else None)
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_logistic_matches_evaluate(self, l2):
+        rng = np.random.default_rng(9)
+        ds = self.idx_shaped(rng)
+        obj = Logistic(784, 10, l2)
+        # two full chunks and a partial one
+        ws = [rng.normal(0, 0.05, obj.dim) for _ in range(2 * EVAL_BATCH + 3)]
+        assert obj.evaluate_many(ws, ds) == [obj.evaluate(w, ds) for w in ws]
+
+    def test_quadratic_matches_evaluate(self):
+        rng = np.random.default_rng(10)
+        ds = self.idx_shaped(rng, labeled=False)
+        obj = MeanQuadratic(784)
+        ws = [rng.random(784) for _ in range(2 * EVAL_BATCH + 3)]
+        assert obj.evaluate_many(ws, ds) == [obj.evaluate(w, ds) for w in ws]
+
+    def test_empty_and_bad_models(self):
+        ds = synthetic_blobs(0, 20, 2, 3, 3.0)
+        obj = Logistic(2, 3)
+        assert obj.evaluate_many([], ds) == []
+        assert MeanQuadratic(2).evaluate_many([], ds) == []
+        with pytest.raises(ObjectiveError):
+            obj.evaluate_many([np.zeros(obj.dim), np.zeros(obj.dim + 1)], ds)
 
 
 class TestGenerators:

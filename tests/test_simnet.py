@@ -12,7 +12,6 @@ from etsgd.simnet import (
     Simulation,
     Trace,
     TraceRecord,
-    simulate,
 )
 from etsgd.topology import neighbors, ring
 
@@ -54,22 +53,22 @@ class TestDelayModel:
 class TestEngine:
     def test_runs_to_completion(self):
         nodes, topo = build_nodes(5, [10, 20, 30])
-        result = simulate(nodes, topo, seed=0)
+        result = Simulation(nodes, topo, seed=0).run()
         assert result.rounds_completed == [3] * 5
         assert result.messages_sent == result.messages_delivered == 5 * 3 * 2
         assert result.duration_ms > 0
         assert all(f <= result.duration_ms for f in result.node_finish_ms)
 
     def test_deterministic(self):
-        a = simulate(*build_nodes(4, [5, 5], seed=3), seed=3)
-        b = simulate(*build_nodes(4, [5, 5], seed=3), seed=3)
+        a = Simulation(*build_nodes(4, [5, 5], seed=3), seed=3).run()
+        b = Simulation(*build_nodes(4, [5, 5], seed=3), seed=3).run()
         assert a.duration_ms == b.duration_ms
         assert a.trace.records == b.trace.records
         assert np.array_equal(a.nodes[2].w, b.nodes[2].w)
 
     def test_single_node_no_messages(self):
         nodes, topo = build_nodes(1, [10, 10])
-        result = simulate(nodes, topo, seed=0)
+        result = Simulation(nodes, topo, seed=0).run()
         assert result.messages_sent == 0
         assert result.rounds_completed == [2]
         # 20 compute draws from U(0.1, 1.0) bound the virtual duration
@@ -77,7 +76,7 @@ class TestEngine:
 
     def test_trace_record_shapes(self):
         nodes, topo = build_nodes(3, [4, 4])
-        result = simulate(nodes, topo, seed=1)
+        result = Simulation(nodes, topo, seed=1).run()
         records = result.trace.records
         kinds = {r.kind for r in records}
         assert kinds <= {"grad", "apply", "round_end", "wait_enter", "wait_exit"}
@@ -94,20 +93,24 @@ class TestEngine:
         assert times == sorted(times)
 
     def test_straggler_unity_factor_is_identity(self):
-        plain = simulate(*build_nodes(3, [5, 5]), seed=2)
+        plain = Simulation(*build_nodes(3, [5, 5]), seed=2).run()
         sim = Simulation(*build_nodes(3, [5, 5]), seed=2)
         sim.set_straggler(0, 1.0)
         assert sim.run().duration_ms == plain.duration_ms
 
     def test_straggler_slows_its_node(self):
-        plain = simulate(*build_nodes(3, [20, 20]), seed=2)
-        slowed = simulate(*build_nodes(3, [20, 20]), seed=2, stragglers={1: 5.0})
+        plain = Simulation(*build_nodes(3, [20, 20]), seed=2).run()
+        sim = Simulation(*build_nodes(3, [20, 20]), seed=2)
+        sim.set_straggler(1, 5.0)
+        slowed = sim.run()
         assert slowed.node_finish_ms[1] > plain.node_finish_ms[1] * 2
         assert slowed.duration_ms > plain.duration_ms
 
     def test_lockstep_bound_forces_waiting(self):
         nodes, topo = build_nodes(3, [10] * 4, max_lag=0)
-        result = simulate(nodes, topo, seed=0, stragglers={0: 5.0})
+        sim = Simulation(nodes, topo, seed=0)
+        sim.set_straggler(0, 5.0)
+        result = sim.run()
         kinds = [r.kind for r in result.trace.records]
         assert "wait_enter" in kinds and "wait_exit" in kinds
         assert result.rounds_completed == [4] * 3
@@ -146,14 +149,14 @@ class TestEngine:
 
         topo = ring(2)
         with pytest.raises(DeadlockError) as err:
-            simulate([Stuck(0), Stuck(1)], topo, seed=0)
+            Simulation([Stuck(0), Stuck(1)], topo, seed=0).run()
         assert err.value.blocked[0]["node"] == 0
 
 
 class TestTraceIO:
     def test_write_read_round_trip(self, tmp_path):
         nodes, topo = build_nodes(3, [3, 3])
-        result = simulate(nodes, topo, seed=5)
+        result = Simulation(nodes, topo, seed=5).run()
         path = tmp_path / "run.trace"
         result.trace.write(path)
         back = Trace.read(path)
@@ -193,6 +196,38 @@ class TestTraceIO:
         with pytest.raises(SimError) as err:
             Trace.read(path)
         assert str(err.value).startswith(f"{path}:5: {field}: ")
+
+    @pytest.mark.parametrize(
+        "text, line, field",
+        [
+            ("# nodes x\n# edge 0 1\n", 1, "nodes"),
+            ("# nodes 2\n# edge 0\n", 2, "edge"),
+            ("# nodes 2\n# edge 0 y\n", 2, "edge"),
+        ],
+    )
+    def test_bad_header_names_line_and_field(self, tmp_path, text, line, field):
+        path = tmp_path / "bad.trace"
+        path.write_text(f"{text}time,node,event,round,h,detail\n")
+        with pytest.raises(SimError) as err:
+            Trace.read(path)
+        assert str(err.value).startswith(f"{path}:{line}: {field}: ")
+
+    @pytest.mark.parametrize("last", ["1.0", "nan", "inf"])
+    def test_time_must_not_go_backwards(self, tmp_path, last):
+        # equal times are fine; an earlier or a non-finite time is not
+        path = tmp_path / "bad.trace"
+        path.write_text("# nodes 1\ntime,node,event,round,h,detail\n"
+                        f"2.0,0,grad,0,1,\n2.0,0,grad,0,2,\n{last},0,grad,0,3,\n")
+        with pytest.raises(SimError) as err:
+            Trace.read(path)
+        assert str(err.value).startswith(f"{path}:5: time: ")
+
+    def test_negative_time_rejected(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("# nodes 1\ntime,node,event,round,h,detail\n-0.5,0,grad,0,1,\n")
+        with pytest.raises(SimError) as err:
+            Trace.read(path)
+        assert str(err.value).startswith(f"{path}:3: time: ")
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
