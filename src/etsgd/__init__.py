@@ -26,7 +26,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .node import Assignment, ComputeNode, Message, setup, uniform_assignment
+from .node import Assignment, ComputeNode, Message, setup
 from .objectives import (
     Dataset,
     Logistic,
@@ -41,8 +41,7 @@ from .schedules import (
     Diminishing,
     Linear,
     LogDamped,
-    required_rounds,
-    round_start_iteration,
+    round_plan,
     sample_size,
     step_size,
     tau,
@@ -85,9 +84,8 @@ __all__ = [
     "line",
     "load_idx",
     "neighbors",
-    "required_rounds",
     "ring",
-    "round_start_iteration",
+    "round_plan",
     "run_experiment",
     "sample_size",
     "serial_sgd",
@@ -96,7 +94,6 @@ __all__ = [
     "sweep",
     "synthetic_blobs",
     "tau",
-    "uniform_assignment",
     "verify_iteration_delay",
     "verify_round_delay",
     "write_idx",

@@ -21,7 +21,6 @@ from .schedules import (
     SampleSchedule,
     StepSchedule,
     round_plan,
-    required_rounds,
     step_size,
 )
 
@@ -49,11 +48,9 @@ def serial_sgd(
     rng = stream(seed, SAMPLE_STREAM, 0)
     w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
     if sample_sched is not None:
-        sizes, starts = round_plan(sample_sched, required_rounds(sample_sched, total_iterations))
         etas = []
-        for size, start in zip(sizes, starts):
+        for size, start in zip(*round_plan(sample_sched, total_iterations)):
             etas.extend([step_size(step_sched, start)] * size)
-        etas = etas[:total_iterations]
     else:
         etas = [step_size(step_sched, t) for t in range(total_iterations)]
 

@@ -128,62 +128,83 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects lo,hi got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects lo,hi as two numbers, got {text!r}") from None
+    return lo, hi
 
 
 def _parse_stragglers(entries) -> dict[int, float]:
     out: dict[int, float] = {}
     for entry in entries:
-        node, sep, factor = str(entry).partition(":")
-        if not sep:
-            raise ValueError(f"--straggler expects NODE:FACTOR, got {entry!r}")
-        out[int(node)] = float(factor)
+        try:
+            node, factor = str(entry).split(":")
+            out[int(node)] = float(factor)
+        except ValueError:
+            raise ValueError(
+                f"--straggler expects NODE:FACTOR with an integer node, got {entry!r}"
+            ) from None
     return out
 
 
+# config-file key (the flag name) -> (value type, ExperimentConfig field);
+# keys without a field are parsed further in _build_config
 _CONFIG_KEYS = {
-    "name": str,
-    "topology": str,
-    "nodes": int,
-    "objective": str,
-    "samples": int,
-    "dim": int,
-    "classes": int,
-    "separation": float,
-    "center": str,
-    "spread": float,
-    "l2": float,
-    "images": str,
-    "labels": str,
-    "schedule": str,
-    "step": str,
-    "d": int,
-    "iters": int,
-    "total-iters": int,
-    "algorithm": str,
-    "coeff": float,
-    "straggler": str,
-    "compute": str,
-    "network": str,
-    "eval-every": int,
-    "eval-samples": int,
+    "name": (str, "name"),
+    "topology": (str, "topology"),
+    "nodes": (int, "n"),
+    "objective": (str, "objective"),
+    "samples": (int, "samples"),
+    "dim": (int, "dim"),
+    "classes": (int, "classes"),
+    "separation": (float, "separation"),
+    "center": (str, None),
+    "spread": (float, "spread"),
+    "l2": (float, "l2"),
+    "images": (str, "idx_images"),
+    "labels": (str, "idx_labels"),
+    "schedule": (str, "sample_schedule"),
+    "step": (str, "step_schedule"),
+    "d": (int, "max_lag"),
+    "iters": (int, None),
+    "total-iters": (int, None),
+    "algorithm": (str, "algorithm"),
+    "coeff": (float, "threshold_coeff"),
+    "straggler": (str, None),
+    "compute": (str, None),
+    "network": (str, None),
+    "eval-every": (int, "eval_every"),
+    "eval-samples": (int, "eval_samples"),
 }
 
 
 def _read_config_file(path: str) -> dict:
+    """Settings from an INI file; every error names the file, and the line or key."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ValueError(f"config file not found: {path}")
+        items = [(sec, *kv) for sec in parser.sections() for kv in parser.items(sec)]
+    except configparser.MissingSectionHeaderError as exc:
+        line = exc.line.strip()
+        raise ValueError(f"{path}:{exc.lineno}: {line!r} is not under a [section]") from None
+    except configparser.ParsingError as exc:
+        raise ValueError(f"{path}:{exc.errors[0][0]}: cannot parse {exc.errors[0][1]}") from None
+    except configparser.Error as exc:  # a repeated key or section; a bad %-interpolation
+        where = f":{exc.lineno}" if hasattr(exc, "lineno") else f": [{exc.section}] {exc.option}"
+        raise ValueError(f"{path}{where}: {exc.message.rpartition(']: ')[2]}") from None
     merged: dict = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r} in [{section}]")
-            merged[key] = _CONFIG_KEYS[key](raw)
+    for section, key, raw in items:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: [{section}] {key}: unknown config key")
+        kind = _CONFIG_KEYS[key][0]
+        try:
+            merged[key] = kind(raw)
+        except ValueError:
+            raise ValueError(
+                f"{path}: [{section}] {key}: expected {kind.__name__}, got {raw!r}"
+            ) from None
     return merged
 
 
@@ -195,31 +216,11 @@ def _build_config(ns: argparse.Namespace) -> ExperimentConfig:
     settings.update(given)
 
     cfg = ExperimentConfig(seed=settings["seed"])
-    simple = {
-        "name": "name",
-        "topology": "topology",
-        "nodes": "n",
-        "objective": "objective",
-        "samples": "samples",
-        "dim": "dim",
-        "classes": "classes",
-        "separation": "separation",
-        "spread": "spread",
-        "l2": "l2",
-        "images": "idx_images",
-        "labels": "idx_labels",
-        "schedule": "sample_schedule",
-        "step": "step_schedule",
-        "d": "max_lag",
-        "algorithm": "algorithm",
-        "coeff": "threshold_coeff",
-        "eval-every": "eval_every",
-        "eval-samples": "eval_samples",
+    updates = {
+        field_name: settings[key]
+        for key, (_, field_name) in _CONFIG_KEYS.items()
+        if field_name is not None and key in settings
     }
-    updates: dict = {}
-    for key, field_name in simple.items():
-        if key in settings:
-            updates[field_name] = settings[key]
     if "center" in settings:
         updates["center"] = tuple(float(x) for x in str(settings["center"]).split(","))
     if "compute" in settings:

@@ -36,12 +36,15 @@ class TimelineMap:
     therefore appear on the timeline in their local execution order.  Step
     counters are one-based, matching the per-round counter a node carries:
     its first step of a round is step 1, the same value a trace records.
+    round_starts[node] lists (global index, round) of the node's first
+    step in each round it owns slots in, in timeline order.
     """
 
     def __init__(self, assignment: Assignment):
         self.assignment = assignment
         self._forward: dict[tuple[int, int, int], int] = {}
         self._inverse: list[tuple[int, int, int]] = []
+        self.round_starts: list[list[tuple[int, int]]] = [[] for _ in range(assignment.n)]
         t = 0
         for k, row in enumerate(assignment.slots):
             seen: dict[int, int] = {}
@@ -50,6 +53,8 @@ class TimelineMap:
                 seen[node] = step
                 self._forward[(node, k, step)] = t
                 self._inverse.append((node, k, step))
+                if step == 1:
+                    self.round_starts[node].append((t, k))
                 t += 1
 
     @property
@@ -68,15 +73,6 @@ class TimelineMap:
         if not 0 <= t < len(self._inverse):
             raise ConsistencyError(f"global iteration {t} out of range")
         return self._inverse[t]
-
-    def round_of(self, t: int) -> int:
-        return self.locate(t)[1]
-
-    def slots_of(self, node: int) -> list[tuple[int, int]]:
-        """(global index, round) pairs of one node's steps, in timeline order."""
-        return [
-            (t, k) for t, (who, k, _) in enumerate(self._inverse) if who == node
-        ]
 
 
 @dataclass
@@ -170,16 +166,10 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
             return _seq[t]
     else:
         tau = lambda t, _v=float(staleness): _v
+    if trace.n != timeline.assignment.n:
+        raise ConsistencyError(f"trace has {trace.n} nodes, timeline {timeline.assignment.n}")
     topo = trace.topology()
     nbrs = {i: set(neighbors(topo, i)) for i in range(trace.n)}
-    # per sender: (first global index, round) of each round it owns slots in
-    starts_by_node: dict[int, list[tuple[int, int]]] = {i: [] for i in range(trace.n)}
-    for i in range(trace.n):
-        last_round = None
-        for t, k in timeline.slots_of(i):
-            if k != last_round:
-                starts_by_node[i].append((t, k))
-                last_round = k
     applied: dict[int, dict[int, set[int]]] = {
         i: {e: set() for e in nbrs[i]} for i in range(trace.n)
     }
@@ -203,7 +193,7 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
         for peer in range(trace.n):
             if peer == rec.node:
                 continue
-            firsts = starts_by_node[peer]
+            firsts = timeline.round_starts[peer]
             cut = bisect_left(firsts, (wlim, -1))
             needed = [k for _, k in firsts[:cut]]
             if not needed:

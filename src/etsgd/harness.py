@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from .rngs import SAMPLE_STREAM, eval_seed, stream
 from .schedules import (
     parse_sample_schedule,
     parse_step_schedule,
-    required_rounds,
     round_plan,
     step_size,
 )
@@ -188,20 +188,14 @@ def build_task(cfg: ExperimentConfig):
 def planned_budgets(cfg: ExperimentConfig) -> tuple[list[int], list[float]]:
     """Per-round step budgets and step sizes one node will execute.
 
-    The final round is trimmed so the budgets sum to exactly the per-node
-    iteration count; each round's step size is the step schedule evaluated
-    at the round's first global iteration.
+    The budgets are round_plan's sizes for the per-node iteration count;
+    each round's step size is the step schedule evaluated at the round's
+    first global iteration.
     """
     sample_sched = parse_sample_schedule(cfg.sample_schedule)
     step_sched = parse_step_schedule(cfg.step_schedule)
-    k = cfg.per_node_iterations
-    rounds = required_rounds(sample_sched, k)
-    sizes, starts = round_plan(sample_sched, rounds)
-    budgets = list(sizes)
-    if rounds:
-        budgets[-1] = k - starts[-1]
-    etas = [step_size(step_sched, s) for s in starts]
-    return budgets, etas
+    budgets, starts = round_plan(sample_sched, cfg.per_node_iterations)
+    return budgets, [step_size(step_sched, s) for s in starts]
 
 
 def run_experiment(
@@ -225,6 +219,7 @@ def run_experiment(
     if cfg.algorithm == "scheduled":
         budgets, etas = planned_budgets(cfg)
         expected_rounds = len(budgets)
+        round_ends = list(accumulate(budgets))
         nodes = [
             ComputeNode(
                 i,
@@ -273,7 +268,7 @@ def run_experiment(
     def round_hook(node, rnd, now):
         if cfg.eval_every == 0 or (rnd + 1) % cfg.eval_every != 0:
             return
-        done = node.t if cfg.algorithm == "threshold" else sum(budgets[: rnd + 1])
+        done = node.t if cfg.algorithm == "threshold" else round_ends[rnd]
         pending.append((node.node_id, rnd, done, node.w.copy()))
         if len(pending) == EVAL_BATCH:
             flush()

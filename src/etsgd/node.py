@@ -7,15 +7,17 @@ from.  Before every local step the node checks how far its own round index
 runs ahead of the rounds received from each neighbor; past the configured
 lag bound it must wait.
 
-The slot assignment lives here too: it splits each round's global step
-budget across nodes at random, which both drives heterogeneous-budget runs
-and underpins the global iteration labeling used by the consistency
-checks.
+The slot assignment lives here too: it names the node that runs each
+step slot of each round, which is the global iteration labeling the
+consistency checks use.  assignment_from_budgets lays out the per-node
+round budgets of a harness run; setup draws the paper's randomized
+assignment, in which node c wins each slot with probability p[c].
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,10 +57,6 @@ class Assignment:
                 if not (0 <= owner < self.n):
                     raise AssignmentError(f"round {i}: owner {owner} out of range for n={self.n}")
 
-    @property
-    def rounds(self) -> int:
-        return len(self.slots)
-
     @cached_property
     def round_sizes(self) -> tuple[int, ...]:
         return tuple(len(rnd) for rnd in self.slots)
@@ -66,23 +64,11 @@ class Assignment:
     @cached_property
     def starts(self) -> tuple[int, ...]:
         """Global iteration index at which each round begins."""
-        out = []
-        total = 0
-        for size in self.round_sizes:
-            out.append(total)
-            total += size
-        return tuple(out)
-
-    @property
-    def total_slots(self) -> int:
-        return sum(self.round_sizes)
+        return tuple(accumulate(self.round_sizes, initial=0))[:-1]
 
     def count(self, round_index: int, node: int) -> int:
         """The node's step budget in one round."""
         return self.slots[round_index].count(node)
-
-    def node_budgets(self, node: int) -> list[int]:
-        return [self.count(i, node) for i in range(self.rounds)]
 
 
 def setup(n: int, sched: SampleSchedule, p, seed: int, rounds: int) -> Assignment:
@@ -100,20 +86,6 @@ def setup(n: int, sched: SampleSchedule, p, seed: int, rounds: int) -> Assignmen
     slots = tuple(
         tuple(int(c) for c in rng.choice(n, size=sample_size(sched, i), p=probs))
         for i in range(rounds)
-    )
-    return Assignment(n, slots)
-
-
-def uniform_assignment(n: int, sched: SampleSchedule, rounds: int) -> Assignment:
-    """Deterministic round-robin split: round i holds n*s_i slots, one s_i share per node.
-
-    This is the assignment that matches a run where every node executes the
-    schedule's full budget each round.
-    """
-    if n < 1:
-        raise AssignmentError(f"need n >= 1, got {n}")
-    slots = tuple(
-        tuple(t % n for t in range(n * sample_size(sched, i))) for i in range(rounds)
     )
     return Assignment(n, slots)
 

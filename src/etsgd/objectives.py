@@ -260,15 +260,6 @@ def iid_indices(n: int, m: int) -> list[np.ndarray]:
     return [np.arange(m) for _ in range(n)]
 
 
-def label_shards(seed: int, labels: np.ndarray, n: int) -> list[np.ndarray]:
-    """Label-sorted contiguous shards, one per node: a deliberately skewed split."""
-    order = np.argsort(labels, kind="stable")
-    shards = np.array_split(order, n)
-    rng = stream(seed, DATA_STREAM)
-    rng.shuffle(shards)
-    return [np.sort(s) for s in shards]
-
-
 def _read_bytes(path: str | Path) -> bytes:
     p = Path(path)
     opener = gzip.open if p.suffix == ".gz" else open

@@ -3,7 +3,9 @@
 A sample schedule fixes how many local SGD steps a node runs in each
 communication round.  Rounds are zero-based everywhere; growing schedules
 evaluate their formula at ``round_index + 1`` so round 0 already carries a
-nonzero budget.  A step schedule maps a global iteration count t to a
+nonzero budget.  round_plan is the one place that turns a schedule and an
+iteration budget into rounds; everything else reads its sizes and start
+iterations.  A step schedule maps a global iteration count t to a
 learning rate; within one round the rate is held constant at the value for
 the round's first iteration.
 
@@ -86,35 +88,23 @@ def sample_size(sched: SampleSchedule, round_index: int) -> int:
     return max(1, math.floor(value + 0.5))
 
 
-def required_rounds(sched: SampleSchedule, total_iterations: int) -> int:
-    """Smallest T such that rounds 0..T-1 cover the iteration budget."""
+def round_plan(sched: SampleSchedule, total_iterations: int) -> tuple[list[int], list[int]]:
+    """(sizes, starts) of the fewest rounds that cover an iteration budget.
+
+    starts[i] is the global iteration at which round i begins.  The last
+    round is trimmed so the sizes sum to exactly total_iterations; every
+    other round takes the schedule's full budget.  A zero budget has no
+    rounds.
+    """
     if total_iterations < 0:
         raise ScheduleError(f"total_iterations must be >= 0, got {total_iterations}")
-    done = 0
-    rounds = 0
-    while done < total_iterations:
-        done += sample_size(sched, rounds)
-        rounds += 1
-    return rounds
-
-
-def round_start_iteration(sched: SampleSchedule, round_index: int) -> int:
-    """Global iteration index at which the given round begins."""
-    if round_index < 0:
-        raise ScheduleError(f"round_index must be >= 0, got {round_index}")
-    return sum(sample_size(sched, i) for i in range(round_index))
-
-
-def round_plan(sched: SampleSchedule, rounds: int) -> tuple[list[int], list[int]]:
-    """Materialize (sizes, start_iterations) for rounds 0..rounds-1 in one pass."""
     sizes: list[int] = []
     starts: list[int] = []
-    total = 0
-    for i in range(rounds):
-        starts.append(total)
-        size = sample_size(sched, i)
-        sizes.append(size)
-        total += size
+    done = 0
+    while done < total_iterations:
+        starts.append(done)
+        sizes.append(min(sample_size(sched, len(sizes)), total_iterations - done))
+        done += sizes[-1]
     return sizes, starts
 
 

@@ -105,7 +105,12 @@ def load_edge_list(path: str | Path, n: int) -> Topology:
         if len(parts) != 2:
             raise TopologyError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise TopologyError(f"{path}:{lineno}: expected integers, got {raw!r}") from None
+        if u == v:
+            raise TopologyError(f"{path}:{lineno}: self-loop on node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise TopologyError(f"{path}:{lineno}: edge ({u}, {v}) out of range for n={n}")
+        pairs.append((u, v))
     return from_edges(n, pairs)

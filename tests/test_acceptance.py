@@ -30,7 +30,7 @@ from etsgd.objectives import (
     synthetic_blobs,
 )
 from etsgd.rngs import SAMPLE_STREAM, stream
-from etsgd.schedules import Constant, Linear, required_rounds
+from etsgd.schedules import Constant, Linear, round_plan
 from etsgd.simnet import DelayModel, Simulation
 from etsgd.topology import neighbors, ring
 
@@ -202,7 +202,7 @@ def repro_artifacts(tmp_path_factory):
 
 def test_linear_schedule_reaches_budget_in_110_rounds(criterion_report):
     start = time.perf_counter()
-    rounds = required_rounds(Linear(10, 1, 0), 60000)
+    rounds = len(round_plan(Linear(10, 1, 0), 60000)[0])
     elapsed = time.perf_counter() - start
     ok = rounds == 110 and elapsed < 1.0
     criterion_report(
@@ -212,7 +212,7 @@ def test_linear_schedule_reaches_budget_in_110_rounds(criterion_report):
 
 def test_constant_schedule_round_counts(criterion_report):
     expected = {10: 6000, 50: 1200, 100: 600, 200: 300, 500: 120, 700: 86, 1000: 60}
-    observed = {s: required_rounds(Constant(s), 60000) for s in expected}
+    observed = {s: len(round_plan(Constant(s), 60000)[0]) for s in expected}
     ok = observed == expected
     criterion_report(2, ok, f"constant budgets map 60000 steps to rounds {observed}")
 

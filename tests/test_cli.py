@@ -34,12 +34,16 @@ class TestParsing:
         assert "3 trace violations" in capsys.readouterr().out
 
     def test_bad_compute_range(self, capsys):
-        assert run_cli(["run", *QUAD, "--seed", "1", "--compute", "1"]) == 1
-        assert "lo,hi" in capsys.readouterr().err
+        for value in ("1", "1,x", "1,2,3"):
+            assert run_cli(["run", *QUAD, "--seed", "1", "--compute", value]) == 1
+            err = capsys.readouterr().err
+            assert "--compute" in err and "lo,hi" in err and repr(value) in err
 
     def test_bad_straggler_syntax(self, capsys):
-        assert run_cli(["run", *QUAD, "--seed", "1", "--straggler", "0=2"]) == 1
-        assert "NODE:FACTOR" in capsys.readouterr().err
+        for value in ("0=2", "0:x", "y:2"):
+            assert run_cli(["run", *QUAD, "--seed", "1", "--straggler", value]) == 1
+            err = capsys.readouterr().err
+            assert "--straggler" in err and "NODE:FACTOR" in err and repr(value) in err
 
 
 class TestRun:
@@ -114,6 +118,28 @@ class TestConfigFile:
         path = self.write_config(tmp_path, "[task]\nworkers = 3\n")
         assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_missing_section_header_names_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "nodes = 3\n")
+        assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1:" in err and "[section]" in err
+
+    def test_repeated_key_names_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "[task]\nnodes = 3\nnodes = 4\n")
+        assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3:" in err and "'nodes'" in err and "already exists" in err
+
+    def test_unparsable_line_names_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "[task]\nnodes = 3\n= 4\n")
+        assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+        assert f"{path}:3: cannot parse" in capsys.readouterr().err
+
+    def test_bad_value_names_key(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "[task]\nnodes = x\n")
+        assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+        assert f"{path}: [task] nodes: expected int, got 'x'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["run", "--config", str(tmp_path / "nope.ini"), "--seed", "2"]) == 1

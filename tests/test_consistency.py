@@ -1,6 +1,8 @@
 """Timeline labeling and the two staleness verifiers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etsgd.consistency import (
     ConsistencyError,
@@ -9,7 +11,7 @@ from etsgd.consistency import (
     verify_iteration_delay,
     verify_round_delay,
 )
-from etsgd.node import Assignment, ComputeNode, assignment_from_budgets, setup, uniform_assignment
+from etsgd.node import Assignment, ComputeNode, assignment_from_budgets, setup
 from etsgd.objectives import MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
 from etsgd.schedules import Constant, Linear, step_size, Diminishing
@@ -44,7 +46,7 @@ class TestTimelineMap:
         assert tm.total == 3
 
     def test_single_node_is_sequential(self):
-        tm = TimelineMap(uniform_assignment(1, Constant(5), 3))
+        tm = TimelineMap(assignment_from_budgets([[5, 5, 5]]))
         for k in range(3):
             for h in range(1, 6):
                 assert tm.global_index(0, k, h) == 5 * k + (h - 1)
@@ -52,11 +54,11 @@ class TestTimelineMap:
     def test_round_blocks_are_contiguous(self):
         asg = setup(3, Linear(4, 1, 0), [1 / 3] * 3, seed=2, rounds=4)
         tm = TimelineMap(asg)
-        rounds = [tm.round_of(t) for t in range(tm.total)]
+        rounds = [tm.locate(t)[1] for t in range(tm.total)]
         assert rounds == sorted(rounds)
         starts = list(asg.starts)
         for k, start in enumerate(starts):
-            assert tm.round_of(start) == k
+            assert tm.locate(start)[1] == k
 
     def test_bijection_small_sweep(self):
         for n in (1, 2, 3):
@@ -73,10 +75,26 @@ class TestTimelineMap:
                                 image.add(t)
                     assert image == set(range(tm.total))
 
-    def test_slots_of(self):
-        tm = TimelineMap(Assignment(2, ((1, 0), (0, 0))))
-        assert tm.slots_of(0) == [(1, 0), (2, 1), (3, 1)]
-        assert tm.slots_of(1) == [(0, 0)]
+    def test_round_starts(self):
+        tm = TimelineMap(Assignment(3, ((1, 0), (0, 0))))
+        assert tm.round_starts == [[(1, 0), (2, 1)], [(0, 0)], []]
+
+    @settings(deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 5), rounds=st.integers(0, 5))
+    def test_round_starts_match_locate(self, data, n, rounds):
+        weights = data.draw(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any), label="weights"
+        )
+        sched = data.draw(st.sampled_from([Constant(1), Constant(4), Linear(3, 1, 0)]))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        probs = [w / sum(weights) for w in weights]
+        tm = TimelineMap(setup(n, sched, probs, seed, rounds))
+        expected = [[] for _ in range(n)]
+        for t in range(tm.total):
+            node, k, step = tm.locate(t)
+            if step == 1:
+                expected[node].append((t, k))
+        assert tm.round_starts == expected
 
     def test_unknown_slot_rejected(self):
         tm = TimelineMap(Assignment(2, ((1, 0),)))
@@ -161,6 +179,11 @@ class TestIterationDelayVerifier:
         as_fn = verify_iteration_delay(result.trace, tm, lambda t: 4.0)
         assert const.ok == as_list.ok == as_fn.ok
         assert len(const.violations) == len(as_list.violations) == len(as_fn.violations)
+
+    def test_node_count_mismatch_rejected(self):
+        trace = Trace(2, ((0, 1),), [])
+        with pytest.raises(ConsistencyError):
+            verify_iteration_delay(trace, TimelineMap(Assignment(1, ((0,),))), 0)
 
     def test_non_neighbors_tallied_not_flagged(self):
         topo = line(3)

@@ -10,7 +10,6 @@ from etsgd.node import (
     ProtocolError,
     assignment_from_budgets,
     setup,
-    uniform_assignment,
 )
 from etsgd.objectives import Dataset, MeanQuadratic
 from etsgd.schedules import Constant, Linear
@@ -32,13 +31,12 @@ def make_node(budgets=(2, 2), etas=None, neighbors=(1,), max_lag=1, dim=2,
 class TestAssignment:
     def test_counts_and_starts(self):
         asg = Assignment(2, ((0, 1, 0), (1, 1)))
-        assert asg.rounds == 2
         assert asg.round_sizes == (3, 2)
         assert asg.starts == (0, 3)
-        assert asg.total_slots == 5
         assert asg.count(0, 0) == 2
         assert asg.count(1, 0) == 0
-        assert asg.node_budgets(1) == [1, 2]
+        assert [asg.count(i, 1) for i in range(2)] == [1, 2]
+        assert Assignment(2, ()).starts == ()
 
     def test_owner_range_checked(self):
         with pytest.raises(AssignmentError):
@@ -72,9 +70,10 @@ class TestAssignment:
         with pytest.raises(AssignmentError):
             setup(2, Constant(5), [0.5, 0.5], seed=0, rounds=-1)
 
-    def test_uniform_assignment(self):
-        asg = uniform_assignment(3, Constant(2), 2)
-        assert asg.round_sizes == (6, 6)
+    def test_from_budgets_uniform_split(self):
+        # equal budgets on every node lay out round-robin, one share per node
+        asg = assignment_from_budgets([[2, 2]] * 3)
+        assert asg.slots == ((0, 1, 2, 0, 1, 2),) * 2
         for rnd in range(2):
             for node in range(3):
                 assert asg.count(rnd, node) == 2
@@ -82,8 +81,8 @@ class TestAssignment:
     def test_from_budgets_interleaves_and_pads(self):
         asg = assignment_from_budgets([[2, 1], [1]])
         assert asg.slots == ((0, 1, 0), (0,))
-        assert asg.node_budgets(0) == [2, 1]
-        assert asg.node_budgets(1) == [1, 0]
+        assert [asg.count(i, 0) for i in range(2)] == [2, 1]
+        assert [asg.count(i, 1) for i in range(2)] == [1, 0]
 
     def test_from_budgets_validation(self):
         with pytest.raises(AssignmentError):

@@ -19,7 +19,6 @@ from etsgd.objectives import (
     TruncatedError,
     gaussian_cloud,
     iid_indices,
-    label_shards,
     load_idx,
     read_idx_header,
     synthetic_blobs,
@@ -254,14 +253,6 @@ class TestGenerators:
         assert len(parts) == 3
         for p in parts:
             assert np.array_equal(p, np.arange(10))
-
-    def test_label_shards_partition(self):
-        labels = np.array([0, 1, 0, 2, 1, 2, 0, 1])
-        shards = label_shards(0, labels, 3)
-        merged = np.sort(np.concatenate(shards))
-        assert np.array_equal(merged, np.arange(8))
-        for s in shards:
-            assert np.array_equal(s, np.sort(s))
 
 
 def images_bytes(count=1, rows=1, cols=1, payload=b"\xff", magic=IMAGES_MAGIC) -> bytes:

@@ -1,7 +1,10 @@
 """Schedule arithmetic against hand-computed values."""
 import math
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etsgd.schedules import (
     Constant,
@@ -13,9 +16,7 @@ from etsgd.schedules import (
     ScheduleError,
     parse_sample_schedule,
     parse_step_schedule,
-    required_rounds,
     round_plan,
-    round_start_iteration,
     sample_size,
     step_size,
     tau,
@@ -64,47 +65,77 @@ class TestSampleSize:
             LogDamped(0)
 
 
+def rounds_for(sched, total_iterations):
+    return len(round_plan(sched, total_iterations)[0])
+
+
 class TestRequiredRounds:
     def test_default_linear_budget(self):
-        assert required_rounds(Linear(10, 1, 0), 60000) == 110
+        assert rounds_for(Linear(10, 1, 0), 60000) == 110
 
     @pytest.mark.parametrize(
         "s,expected",
         [(10, 6000), (50, 1200), (100, 600), (200, 300), (500, 120), (700, 86), (1000, 60)],
     )
     def test_constant_budgets(self, s, expected):
-        assert required_rounds(Constant(s), 60000) == expected
+        assert rounds_for(Constant(s), 60000) == expected
 
     def test_zero_budget_needs_no_rounds(self):
-        assert required_rounds(Linear(10, 1, 0), 0) == 0
+        assert round_plan(Linear(10, 1, 0), 0) == ([], [])
 
     def test_minimality(self):
         for sched in (Linear(10, 1, 0), Constant(7), LogDamped(3.0), Linear(3, 0.5, 1)):
             for k in (1, 10, 99, 1234):
-                rounds = required_rounds(sched, k)
+                rounds = rounds_for(sched, k)
                 sizes = [sample_size(sched, i) for i in range(rounds)]
                 assert sum(sizes) >= k
                 assert sum(sizes[:-1]) < k
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ScheduleError):
-            required_rounds(Constant(5), -1)
-
-
-def test_round_start_iteration():
-    assert round_start_iteration(Linear(10, 1, 0), 0) == 0
-    assert round_start_iteration(Linear(10, 1, 0), 2) == 30
-    assert round_start_iteration(Constant(100), 5) == 500
-    with pytest.raises(ScheduleError):
-        round_start_iteration(Constant(100), -2)
+            round_plan(Constant(5), -1)
 
 
 def test_round_plan_matches_pointwise_queries():
     sched = LogDamped(5.0)
-    sizes, starts = round_plan(sched, 8)
-    assert sizes == [sample_size(sched, i) for i in range(8)]
-    assert starts == [round_start_iteration(sched, i) for i in range(8)]
-    assert round_plan(sched, 0) == ([], [])
+    full = [sample_size(sched, i) for i in range(8)]
+    sizes, starts = round_plan(sched, sum(full))
+    assert sizes == full
+    assert starts == [sum(full[:i]) for i in range(8)]
+
+
+def test_round_start_iteration():
+    assert round_plan(Linear(10, 1, 0), 1)[1][0] == 0
+    # the last round is trimmed to the budget; starts are untouched by the trim
+    assert round_plan(Linear(10, 1, 0), 35) == ([10, 20, 5], [0, 10, 30])
+    assert round_plan(Constant(100), 550)[1][5] == 500
+    with pytest.raises(ScheduleError):
+        round_plan(Constant(100), -2)
+
+
+SAMPLE_SCHEDULES = st.one_of(
+    st.tuples(st.floats(0, 50), st.floats(0, 2), st.floats(0, 20))
+    .filter(lambda apb: apb[0] > 0 or apb[2] > 0)
+    .map(lambda apb: Linear(*apb)),
+    st.integers(1, 300).map(Constant),
+    st.floats(0.01, 50).map(LogDamped),
+)
+
+
+@settings(deadline=None, derandomize=True)
+@given(sched=SAMPLE_SCHEDULES, budget=st.integers(0, 5000))
+def test_round_plan_properties(sched, budget):
+    sizes, starts = round_plan(sched, budget)
+    full = [sample_size(sched, i) for i in range(len(sizes))]
+    assert sum(sizes) == budget
+    assert sizes[:-1] == full[:-1]
+    assert starts == list(accumulate(sizes, initial=0))[:-1]
+    if budget == 0:
+        assert sizes == []
+    else:
+        assert 1 <= sizes[-1] <= full[-1]
+        # one round fewer, at full size, does not cover the budget
+        assert sum(full[:-1]) < budget
 
 
 class TestStepSize:

@@ -98,3 +98,19 @@ def test_load_edge_list_malformed(tmp_path):
     path.write_text("0 x\n")
     with pytest.raises(TopologyError):
         load_edge_list(path, 3)
+
+
+def test_load_edge_list_out_of_range_names_line(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n1 5\n")
+    with pytest.raises(TopologyError) as exc:
+        load_edge_list(path, 3)
+    assert str(exc.value) == f"{path}:2: edge (1, 5) out of range for n=3"
+
+
+def test_load_edge_list_self_loop_names_line(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("# loop\n0 1\n1 1\n")
+    with pytest.raises(TopologyError) as exc:
+        load_edge_list(path, 3)
+    assert str(exc.value) == f"{path}:3: self-loop on node 1"
