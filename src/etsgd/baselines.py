@@ -74,7 +74,7 @@ class ThresholdNode:
     how far it has drifted (l1) from the model it last sent; crossing
     step_size(t) * coeff * dim triggers a broadcast of the full model.
     round_index counts broadcasts, step_in_round the steps since the last
-    one.  Plugs into the same simulator driver surface as ComputeNode.
+    one.  The engine drives it as a simnet.Driver, like ComputeNode.
     """
 
     def __init__(

@@ -31,6 +31,7 @@ from .harness import (
 )
 from .objectives import read_idx_header, synthetic_blobs, write_idx
 from .simnet import Trace
+from .topology import read_text
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -181,10 +182,13 @@ _CONFIG_KEYS = {
 
 def _read_config_file(path: str) -> dict:
     """Settings from an INI file; every error names the file, and the line or key."""
+    try:
+        text = read_text(path)
+    except OSError:
+        raise ValueError(f"config file not found: {path}") from None
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
-            raise ValueError(f"config file not found: {path}")
+        parser.read_string(text, source=path)
         items = [(sec, *kv) for sec in parser.sections() for kv in parser.items(sec)]
     except configparser.MissingSectionHeaderError as exc:
         line = exc.line.strip()
@@ -222,7 +226,11 @@ def _build_config(ns: argparse.Namespace) -> ExperimentConfig:
         if field_name is not None and key in settings
     }
     if "center" in settings:
-        updates["center"] = tuple(float(x) for x in str(settings["center"]).split(","))
+        raw = str(settings["center"])
+        try:
+            updates["center"] = tuple(float(x) for x in raw.split(","))
+        except ValueError:
+            raise ValueError(f"--center expects comma-separated numbers, got {raw!r}") from None
     if "compute" in settings:
         updates["compute_range"] = _parse_pair(settings["compute"], "--compute")
     if "network" in settings:

@@ -147,23 +147,22 @@ def verify_round_delay(trace: Trace, max_lag: int) -> Report:
 def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Report:
     """Check each step's incorporated information against a staleness window.
 
-    staleness is a callable (or constant) giving the window tau(t); the
-    step at global iteration t must already incorporate every iteration
-    j < t - tau(t).  A node's own past always qualifies.  A neighbor's
-    iteration qualifies once the round containing it has been applied,
-    tracked as a set per (receiver, sender) because deliveries are not
-    ordered.  Iterations owned by non-neighbors are never directly
-    received; they are tallied separately as indirect_only rather than
-    flagged, since the window argument for them routes through multi-hop
-    relays that a single trace cannot certify.
+    staleness is a callable, a per-iteration list or a constant giving the
+    window tau(t); the step at global iteration t must already incorporate
+    every iteration j < t - tau(t).  A node's own past always qualifies.  A
+    neighbor's iteration qualifies once the round containing it has been
+    applied, tracked as a set per (receiver, sender) because deliveries are
+    not ordered; a counter per pair keeps how many of the sender's leading
+    rounds are all applied, so a step scans only the rounds after them.
+    Iterations owned by non-neighbors are never directly received; they are
+    tallied separately as indirect_only rather than flagged, since the
+    window argument for them routes through multi-hop relays that a single
+    trace cannot certify.
     """
-    if callable(staleness):
+    if isinstance(staleness, (list, tuple)):
+        tau = staleness.__getitem__
+    elif callable(staleness):
         tau = staleness
-    elif isinstance(staleness, (list, tuple)):
-        seq = staleness
-
-        def tau(t, _seq=seq):
-            return _seq[t]
     else:
         tau = lambda t, _v=float(staleness): _v
     if trace.n != timeline.assignment.n:
@@ -173,6 +172,7 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
     applied: dict[int, dict[int, set[int]]] = {
         i: {e: set() for e in nbrs[i]} for i in range(trace.n)
     }
+    prefix = {i: {e: 0 for e in nbrs[i]} for i in range(trace.n)}
     violations: list[Violation] = []
     checked = 0
     indirect_only = 0
@@ -195,14 +195,17 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
                 continue
             firsts = timeline.round_starts[peer]
             cut = bisect_left(firsts, (wlim, -1))
-            needed = [k for _, k in firsts[:cut]]
-            if not needed:
-                continue
             if peer not in nbrs[rec.node]:
-                indirect_only += len(needed)
+                indirect_only += cut
                 continue
-            missing = [k for k in needed if k not in applied[rec.node][peer]]
-            for k in missing:
+            seen = applied[rec.node][peer]
+            done = prefix[rec.node][peer]
+            while done < cut and firsts[done][1] in seen:
+                done += 1
+            prefix[rec.node][peer] = done
+            for _, k in firsts[done:cut]:
+                if k in seen:
+                    continue
                 violations.append(
                     Violation(
                         rec.time,

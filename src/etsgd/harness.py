@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -147,9 +146,6 @@ class Metrics:
     delay_check_ok: bool | None
     trace: Trace | None = None
 
-    def node_models(self) -> list[np.ndarray]:
-        return [nm.final_w for nm in self.nodes]
-
 
 def build_topology(cfg: ExperimentConfig) -> Topology:
     kind = cfg.topology
@@ -219,7 +215,6 @@ def run_experiment(
     if cfg.algorithm == "scheduled":
         budgets, etas = planned_budgets(cfg)
         expected_rounds = len(budgets)
-        round_ends = list(accumulate(budgets))
         nodes = [
             ComputeNode(
                 i,
@@ -268,8 +263,7 @@ def run_experiment(
     def round_hook(node, rnd, now):
         if cfg.eval_every == 0 or (rnd + 1) % cfg.eval_every != 0:
             return
-        done = node.t if cfg.algorithm == "threshold" else round_ends[rnd]
-        pending.append((node.node_id, rnd, done, node.w.copy()))
+        pending.append((node.node_id, rnd, node.t, node.w.copy()))
         if len(pending) == EVAL_BATCH:
             flush()
 

@@ -117,11 +117,11 @@ def assignment_from_budgets(budgets_by_node) -> Assignment:
 
 
 class ComputeNode:
-    """One peer of the scheduled protocol.
+    """One peer of the scheduled protocol; the engine drives it as a simnet.Driver.
 
     The node owns its model, its round/step counters, the gradient sum of
-    the current round, and one received-round counter per neighbor.  All
-    mutation happens through the methods below, driven by the simulator.
+    the current round, and one received-round counter per neighbor.  t
+    counts the local steps taken over all rounds.
     """
 
     def __init__(
@@ -152,6 +152,7 @@ class ComputeNode:
         self.max_lag = max_lag
         self.rng = rng
         self.w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
+        self.t = 0
         self.round_index = 0
         self.step_in_round = 0
         self.grad_sum = np.zeros(objective.dim)
@@ -161,10 +162,6 @@ class ComputeNode:
     @property
     def finished(self) -> bool:
         return self.round_index >= self.rounds_total
-
-    @property
-    def round_complete(self) -> bool:
-        return not self.finished and self.step_in_round == self.budgets[self.round_index]
 
     def lag(self) -> int:
         """How many rounds this node runs ahead of its slowest neighbor."""
@@ -183,55 +180,37 @@ class ComputeNode:
         self.w -= self.etas[msg.round_index] * msg.payload
         self.received[msg.sender] += 1
 
-    def local_step(self) -> None:
-        """One SGD step on a uniformly drawn sample; accumulates the gradient sum."""
+    def advance(self) -> tuple[int, int, bool, list[tuple[int, Message]]]:
+        """One SGD step on a uniformly drawn sample; closes the round it spends.
+
+        Returns (round_index, step_in_round, round_closed, outbox) for the
+        step just taken.  When the step spends the round's budget, every
+        neighbor gets the round's gradient sum, handed over rather than
+        copied, and the next round starts on a fresh zero array, so later
+        steps cannot alter messages in flight.  A round with a zero budget
+        closes without a step, reported with step_in_round 0.
+        """
         if self.finished:
             raise ProtocolError(f"node {self.node_id}: stepping after the final round")
-        if self.step_in_round >= self.budgets[self.round_index]:
-            raise ProtocolError(f"node {self.node_id}: round {self.round_index} budget spent")
         if not self.check_sync():
             raise ProtocolError(
                 f"node {self.node_id}: stepping while {self.lag()} rounds ahead (bound {self.max_lag})"
             )
-        idx = int(self.indices[self.rng.integers(len(self.indices))])
-        g = self.objective.grad(self.w, self.data, idx)
-        self.w -= self.etas[self.round_index] * g
-        self.grad_sum += g
-        self.step_in_round += 1
-
-    def end_of_round(self) -> list[tuple[int, Message]]:
-        """Close the round: emit (neighbor, message) pairs and advance to the next round.
-
-        Every neighbor gets the same payload: the round's gradient sum itself,
-        handed over rather than copied.  The node starts the next round on a
-        fresh zero array, so later local steps cannot alter messages in flight.
-        """
-        if self.finished:
-            raise ProtocolError(f"node {self.node_id}: no round in progress")
-        if self.step_in_round != self.budgets[self.round_index]:
-            raise ProtocolError(
-                f"node {self.node_id}: round {self.round_index} has "
-                f"{self.step_in_round}/{self.budgets[self.round_index]} steps done"
-            )
-        msg = Message(self.node_id, self.grad_sum, self.round_index)
+        rnd = self.round_index
+        budget = self.budgets[rnd]
+        if budget:
+            idx = int(self.indices[self.rng.integers(len(self.indices))])
+            g = self.objective.grad(self.w, self.data, idx)
+            self.w -= self.etas[rnd] * g
+            self.grad_sum += g
+            self.step_in_round += 1
+            self.t += 1
+        step = self.step_in_round
+        if step < budget:
+            return rnd, step, False, []
+        msg = Message(self.node_id, self.grad_sum, rnd)
         outbox = [(dest, msg) for dest in sorted(self.received)]
         self.round_index += 1
         self.step_in_round = 0
         self.grad_sum = np.zeros(self.objective.dim)
-        return outbox
-
-    def advance(self) -> tuple[int, int, bool, list[tuple[int, Message]]]:
-        """Driver hook: take one step; on round completion also broadcast.
-
-        Returns (round_index, step_in_round, round_completed, outbox) for the
-        step just taken.  A round with a zero budget closes without a step,
-        reported with step_in_round 0.
-        """
-        if self.round_complete:
-            rnd = self.round_index
-            return rnd, 0, True, self.end_of_round()
-        self.local_step()
-        rnd, step = self.round_index, self.step_in_round
-        if self.round_complete:
-            return rnd, step, True, self.end_of_round()
-        return rnd, step, False, []
+        return rnd, step, True, outbox

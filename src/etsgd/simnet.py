@@ -2,19 +2,18 @@
 
 Virtual time is a float in milliseconds.  The event queue is a heap keyed
 by (time, sequence number), so ties resolve by insertion order and a run
-is a pure function of its seed.  Three event kinds exist: a node finishing
-one gradient step, a message delivery, and the wake of a node that was
-blocked at its synchronization checkpoint.  Wakes are only ever scheduled
-by deliveries; a waiting node costs no virtual time.
+is a pure function of its seed.  Two event kinds exist: a node finishing
+one gradient step, and a message delivery.  A node blocked at its
+synchronization checkpoint waits without an event; it resumes within the
+delivery that unblocks it, so waiting costs no virtual time.
 
 Latencies are sampled per concern from independent streams: one uniform
 draw per gradient step (scaled by the node's straggler factor) and one per
 message per link.  Delivery is reliable but not ordered; a slow message
 can be overtaken by a later fast one.
 
-Any object with the small driver surface used by ComputeNode (finished,
-check_sync, advance, on_receive, plus round_index/step_in_round for the
-trace) can ride the engine; the threshold baseline reuses it unchanged.
+The engine steps anything that implements Driver; ComputeNode and the
+threshold baseline's ThresholdNode both do.
 """
 from __future__ import annotations
 
@@ -22,21 +21,37 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
+from .node import Message
 from .rngs import COMPUTE_STREAM, NETWORK_STREAM, stream
-from .topology import Topology, neighbors
+from .topology import Topology, neighbors, read_text
 
 STEP_DONE = 0
 DELIVER = 1
-WAKE = 2
 
 # every record kind the engine writes; Trace.read rejects any other
 EVENTS = frozenset(("grad", "round_end", "apply", "wait_enter", "wait_exit"))
 
-_COMPUTING = "computing"
-_WAITING = "waiting"
-_DONE = "done"
+
+class Driver(Protocol):
+    """What the engine touches on a node; round_index and step_in_round also label the trace."""
+
+    round_index: int
+    step_in_round: int
+
+    @property
+    def finished(self) -> bool:
+        """True once the node has no step left to take."""
+
+    def check_sync(self) -> bool:
+        """True when the node may step now; False parks it until a delivery."""
+
+    def advance(self) -> tuple[int, int, bool, list[tuple[int, Message]]]:
+        """Take one step: (round, step, round_closed, [(neighbor, message), ...])."""
+
+    def on_receive(self, msg: Message) -> None:
+        """Apply one delivered message."""
 
 
 class SimError(ValueError):
@@ -118,7 +133,7 @@ class Trace:
         edges = []
         records = []
         last = 0.0
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(path, SimError).splitlines(), start=1):
             if raw.startswith("# nodes "):
                 n = _number(path, lineno, "nodes", int, raw[len("# nodes "):].strip())
             elif raw.startswith("# edge "):
@@ -175,8 +190,6 @@ class SimResult:
     node_finish_ms: list[float]
     rounds_completed: list[int]
     messages_sent: int
-    messages_delivered: int
-    nodes: list
 
     @property
     def mean_finish_ms(self) -> float:
@@ -188,7 +201,7 @@ class Simulation:
 
     def __init__(
         self,
-        nodes,
+        nodes: list[Driver],
         topo: Topology,
         delay_model: DelayModel | None = None,
         seed: int = 0,
@@ -225,9 +238,8 @@ class Simulation:
         n = self.topo.n
         heap: list[tuple] = []
         seq = 0
-        state = [_DONE] * n
+        waiting = [False] * n
         finish = [0.0] * n
-        rounds_done = [0] * n
         sent = 0
         delivered = 0
         records: list[TraceRecord] = []
@@ -241,18 +253,20 @@ class Simulation:
         def start_or_wait(node_id):
             node = self.nodes[node_id]
             if node.finished:
-                state[node_id] = _DONE
                 finish[node_id] = now
-                return
-            if not node.check_sync():
-                state[node_id] = _WAITING
+            elif node.check_sync():
+                if waiting[node_id]:
+                    waiting[node_id] = False
+                    records.append(
+                        TraceRecord(now, node_id, "wait_exit", node.round_index, node.step_in_round, "")
+                    )
+                push(now + self.delays.compute_delay(self._compute_rng, self._factors[node_id]),
+                     STEP_DONE, node_id)
+            elif not waiting[node_id]:
+                waiting[node_id] = True
                 records.append(
                     TraceRecord(now, node_id, "wait_enter", node.round_index, node.step_in_round, "")
                 )
-                return
-            state[node_id] = _COMPUTING
-            push(now + self.delays.compute_delay(self._compute_rng, self._factors[node_id]),
-                 STEP_DONE, node_id)
 
         for node_id in range(n):
             start_or_wait(node_id)
@@ -266,7 +280,6 @@ class Simulation:
                 if step >= 1:
                     records.append(TraceRecord(now, node_id, "grad", rnd, step, ""))
                 if completed:
-                    rounds_done[node_id] += 1
                     records.append(
                         TraceRecord(now, node_id, "round_end", rnd, step, f"msgs={len(outbox)}")
                     )
@@ -277,35 +290,27 @@ class Simulation:
                         round_hook(node, rnd, now)
                 start_or_wait(node_id)
 
-            elif kind == DELIVER:
+            else:  # DELIVER
                 node.on_receive(msg)
                 delivered += 1
                 records.append(
                     TraceRecord(now, node_id, "apply", msg.round_index, -1, f"from={msg.sender}")
                 )
-                if state[node_id] == _WAITING and node.check_sync():
-                    push(now, WAKE, node_id)
-
-            else:  # WAKE
-                if state[node_id] == _WAITING and node.check_sync():
-                    records.append(
-                        TraceRecord(now, node_id, "wait_exit", node.round_index, node.step_in_round, "")
-                    )
-                    state[node_id] = _COMPUTING
-                    push(now + self.delays.compute_delay(self._compute_rng, self._factors[node_id]),
-                         STEP_DONE, node_id)
+                if waiting[node_id]:
+                    start_or_wait(node_id)
 
         if sent != delivered:
             raise RuntimeError(f"message conservation broken: sent {sent}, delivered {delivered}")
+        # the queue is drained, so every round a neighbor closed has been delivered
         blocked = [
             {
                 "node": i,
-                "round": self.nodes[i].round_index,
-                "step": self.nodes[i].step_in_round,
-                "received": getattr(self.nodes[i], "received", {}),
+                "round": node.round_index,
+                "step": node.step_in_round,
+                "received": {e: self.nodes[e].round_index for e in self._neighbors[i]},
             }
-            for i in range(n)
-            if state[i] != _DONE
+            for i, node in enumerate(self.nodes)
+            if not node.finished
         ]
         if blocked:
             raise DeadlockError(blocked)
@@ -315,9 +320,6 @@ class Simulation:
             trace=trace,
             duration_ms=now,
             node_finish_ms=finish,
-            rounds_completed=rounds_done,
+            rounds_completed=[node.round_index for node in self.nodes],
             messages_sent=sent,
-            messages_delivered=delivered,
-            nodes=self.nodes,
         )
-

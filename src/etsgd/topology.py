@@ -9,6 +9,16 @@ class TopologyError(ValueError):
     """Raised for malformed graphs or out-of-range node ids."""
 
 
+def read_text(path: str | Path, error=ValueError) -> str:
+    """A UTF-8 file's text; other bytes raise error("path:line: not UTF-8 text")."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
 @dataclass(frozen=True)
 class Topology:
     """Simple undirected graph on nodes 0..n-1; edges stored as (u, v) with u < v."""
@@ -97,7 +107,7 @@ def is_connected(topo: Topology) -> bool:
 def load_edge_list(path: str | Path, n: int) -> Topology:
     """Read a topology from text: one 'u v' pair per line, '#' starts a comment."""
     pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, TopologyError).splitlines(), start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue

@@ -1,6 +1,12 @@
 """Shared pytest hooks: collects the acceptance PASS/FAIL lines and echoes
-them in the terminal summary so they are visible without -s."""
+them in the terminal summary so they are visible without -s.  Also loads
+the one hypothesis profile every property test runs under: no per-example
+deadline, and examples derived from the test itself, so runs repeat."""
 import pytest
+from hypothesis import settings
+
+settings.register_profile("etsgd", deadline=None, derandomize=True)
+settings.load_profile("etsgd")
 
 _ACCEPTANCE_LINES: list = []
 

@@ -236,7 +236,7 @@ def test_ring_accuracy_matches_serial_baseline(accuracy_suite, criterion_report)
 
 def test_nodes_agree_at_quiescence(agreement_run, criterion_report):
     m = agreement_run["metrics"]
-    models = m.node_models()
+    models = [nm.final_w for nm in m.nodes]
     linf = max(
         float(np.max(np.abs(a - b)))
         for i, a in enumerate(models)

@@ -39,6 +39,10 @@ class TestParsing:
             err = capsys.readouterr().err
             assert "--compute" in err and "lo,hi" in err and repr(value) in err
 
+    def test_bad_center(self, capsys):
+        assert run_cli(["run", *QUAD, "--seed", "1", "--center", "1,x"]) == 1
+        assert "--center expects comma-separated numbers, got '1,x'" in capsys.readouterr().err
+
     def test_bad_straggler_syntax(self, capsys):
         for value in ("0=2", "0:x", "y:2"):
             assert run_cli(["run", *QUAD, "--seed", "1", "--straggler", value]) == 1
@@ -67,6 +71,12 @@ class TestRun:
     def test_straggler_flag(self, capsys):
         argv = ["run", *QUAD, "--seed", "1", "--straggler", "0:5.0"]
         assert run_cli(argv) == 0
+
+    def test_non_utf8_edge_list_names_line(self, tmp_path, capsys):
+        edges = tmp_path / "graph.edges"
+        edges.write_bytes(b"0 1\n\xff 2\n")
+        assert run_cli(["run", *QUAD, "--seed", "1", "--topology", str(edges)]) == 1
+        assert f"error: {edges}:2: not UTF-8 text" in capsys.readouterr().err
 
     def test_threshold_run(self, capsys):
         argv = ["run", *QUAD, "--seed", "1", "--algorithm", "threshold", "--coeff", "0.5"]
@@ -140,6 +150,12 @@ class TestConfigFile:
         path = self.write_config(tmp_path, "[task]\nnodes = x\n")
         assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
         assert f"{path}: [task] nodes: expected int, got 'x'" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_line(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"[task]\nnodes = 3\nname = \xff\xfe\n")
+        assert run_cli(["run", "--config", str(path), "--seed", "2"]) == 1
+        assert f"error: {path}:3: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["run", "--config", str(tmp_path / "nope.ini"), "--seed", "2"]) == 1
@@ -215,6 +231,12 @@ class TestValidateTrace:
         trace.write_text("# nodes 2\n# edge 0\ntime,node,event,round,h,detail\n")
         assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
         assert f"{trace}:2: edge: " in capsys.readouterr().err
+
+    def test_non_utf8_trace_names_line(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trace"
+        trace.write_bytes(b"# nodes 1\ntime,node,event,round,h,detail\n1.0,0,grad,0,1,\xff\n")
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
+        assert f"error: {trace}:3: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli(["validate-trace", "--trace", str(tmp_path / "no.trace"),

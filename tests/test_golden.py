@@ -80,7 +80,7 @@ GOLDEN = {
 def digests(cfg, tmp_path):
     m = run_experiment(cfg, keep_trace=True)
     weights = hashlib.sha256()
-    for w in m.node_models():
+    for w in [nm.final_w for nm in m.nodes]:
         weights.update(w.tobytes())
     trace_path, csv_path = tmp_path / "run.trace", tmp_path / "run.csv"
     m.trace.write(trace_path)

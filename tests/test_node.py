@@ -134,7 +134,7 @@ class TestSync:
         node = make_node(budgets=(1, 1, 1), etas=[0.1] * 3, max_lag=0)
         node.round_index = 1
         with pytest.raises(ProtocolError):
-            node.local_step()
+            node.advance()
 
 
 class TestRounds:
@@ -185,23 +185,11 @@ class TestRounds:
         rnd, step, done, _ = node.advance()
         assert (rnd, step, done) == (1, 1, True)
 
-    def test_step_past_budget_rejected(self):
-        node = make_node(budgets=(1,), etas=[0.1])
-        node.local_step()
-        with pytest.raises(ProtocolError):
-            node.local_step()
-
     def test_step_after_finish_rejected(self):
         node = make_node(budgets=(1,), etas=[0.1])
         node.advance()
         with pytest.raises(ProtocolError):
-            node.local_step()
-
-    def test_close_mid_round_rejected(self):
-        node = make_node(budgets=(2,), etas=[0.1])
-        node.local_step()
-        with pytest.raises(ProtocolError):
-            node.end_of_round()
+            node.advance()
 
 
 class TestConstruction:
@@ -234,6 +222,6 @@ class TestConstruction:
         a = make_node(budgets=(5,), etas=[0.1], seed=3)
         b = make_node(budgets=(5,), etas=[0.1], seed=3)
         for _ in range(5):
-            a.local_step()
-            b.local_step()
+            a.advance()
+            b.advance()
         assert np.array_equal(a.w, b.w)

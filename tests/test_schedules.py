@@ -3,7 +3,7 @@ import math
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from etsgd.schedules import (
@@ -122,7 +122,6 @@ SAMPLE_SCHEDULES = st.one_of(
 )
 
 
-@settings(deadline=None, derandomize=True)
 @given(sched=SAMPLE_SCHEDULES, budget=st.integers(0, 5000))
 def test_round_plan_properties(sched, budget):
     sizes, starts = round_plan(sched, budget)

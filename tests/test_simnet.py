@@ -1,10 +1,14 @@
 """Discrete-event engine: determinism, tracing, stragglers, failure modes."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from etsgd.consistency import verify_round_delay
 from etsgd.node import ComputeNode
 from etsgd.objectives import Dataset, MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
+from etsgd.schedules import Constant, Linear, round_plan
 from etsgd.simnet import (
     DeadlockError,
     DelayModel,
@@ -13,7 +17,7 @@ from etsgd.simnet import (
     Trace,
     TraceRecord,
 )
-from etsgd.topology import neighbors, ring
+from etsgd.topology import complete, from_edges, line, neighbors, ring
 
 
 def build_nodes(n, budgets, max_lag=1, seed=0, topo=None):
@@ -55,16 +59,18 @@ class TestEngine:
         nodes, topo = build_nodes(5, [10, 20, 30])
         result = Simulation(nodes, topo, seed=0).run()
         assert result.rounds_completed == [3] * 5
-        assert result.messages_sent == result.messages_delivered == 5 * 3 * 2
+        assert result.messages_sent == 5 * 3 * 2
         assert result.duration_ms > 0
         assert all(f <= result.duration_ms for f in result.node_finish_ms)
 
     def test_deterministic(self):
-        a = Simulation(*build_nodes(4, [5, 5], seed=3), seed=3).run()
-        b = Simulation(*build_nodes(4, [5, 5], seed=3), seed=3).run()
+        nodes_a, topo = build_nodes(4, [5, 5], seed=3)
+        nodes_b, _ = build_nodes(4, [5, 5], seed=3)
+        a = Simulation(nodes_a, topo, seed=3).run()
+        b = Simulation(nodes_b, topo, seed=3).run()
         assert a.duration_ms == b.duration_ms
         assert a.trace.records == b.trace.records
-        assert np.array_equal(a.nodes[2].w, b.nodes[2].w)
+        assert np.array_equal(nodes_a[2].w, nodes_b[2].w)
 
     def test_single_node_no_messages(self):
         nodes, topo = build_nodes(1, [10, 10])
@@ -87,7 +93,7 @@ class TestEngine:
         assert len(round_ends) == 3 * 2
         assert all(r.detail == "msgs=2" for r in round_ends)
         applies = [r for r in records if r.kind == "apply"]
-        assert len(applies) == result.messages_delivered
+        assert len(applies) == result.messages_sent
         assert all(r.step == -1 and r.detail.startswith("from=") for r in applies)
         times = [r.time for r in records]
         assert times == sorted(times)
@@ -142,7 +148,6 @@ class TestEngine:
                 self.finished = False
                 self.round_index = 0
                 self.step_in_round = 0
-                self.received = {}
 
             def check_sync(self):
                 return False
@@ -151,6 +156,77 @@ class TestEngine:
         with pytest.raises(DeadlockError) as err:
             Simulation([Stuck(0), Stuck(1)], topo, seed=0).run()
         assert err.value.blocked[0]["node"] == 0
+
+    def test_deadlock_reports_received_rounds(self):
+        # node 0 quits after one round, so at d=0 its neighbors block in round 2;
+        # it keeps the step sizes of all three rounds to apply what they send
+        nodes, topo = build_nodes(3, [2, 2, 2], max_lag=0)
+        nodes[0].rounds_total = 1
+        with pytest.raises(DeadlockError) as err:
+            Simulation(nodes, topo, seed=0).run()
+        blocked = err.value.blocked
+        assert [b["node"] for b in blocked] == [1, 2]
+        assert all(b["round"] == 2 for b in blocked)
+        for b in blocked:
+            assert b["received"] == nodes[b["node"]].received
+
+
+@st.composite
+def connected_topologies(draw):
+    n = draw(st.integers(1, 6), label="n")
+    kind = draw(st.sampled_from(["ring", "line", "complete", "edges"]), label="kind")
+    if kind != "edges":
+        return {"ring": ring, "line": line, "complete": complete}[kind](n)
+    # a random spanning tree keeps the graph connected; the extra edges add cycles
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return from_edges(n, tree + draw(st.lists(pair, max_size=n) if n > 1 else st.just([])))
+
+
+SCHEDULES = st.one_of(
+    st.integers(1, 3).map(Constant),
+    st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)).map(lambda apb: Linear(*apb)),
+)
+
+
+def drawn_run(topo, budgets, max_lag, straggler, network, seed):
+    nodes = build_nodes(topo.n, budgets, max_lag, seed, topo)[0]
+    sim = Simulation(nodes, topo, DelayModel(network=network), seed)
+    sim.set_straggler(*straggler)
+    return sim.run()
+
+
+@given(
+    data=st.data(),
+    topo=connected_topologies(),
+    sched=SCHEDULES,
+    iterations=st.integers(1, 30),
+    max_lag=st.integers(0, 3),
+    factor=st.floats(1.0, 5.0),
+    lo=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**16),
+)
+def test_engine_properties(data, topo, sched, iterations, max_lag, factor, lo, seed):
+    hi = data.draw(st.floats(lo, 20.0), label="network hi")
+    straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
+    budgets, _ = round_plan(sched, iterations)
+    args = (topo, budgets, max_lag, straggler, (lo, hi), seed)
+    result = drawn_run(*args)  # raises DeadlockError on a deadlock
+    records = result.trace.records
+    assert result.rounds_completed == [len(budgets)] * topo.n
+    assert verify_round_delay(result.trace, max_lag).ok
+    expected = {i: "wait_enter" for i in range(topo.n)}
+    for prev, rec in zip([None, *records], records):
+        if rec.kind not in ("wait_enter", "wait_exit"):
+            continue
+        # a node's waits alternate enter, exit, enter, ...
+        assert rec.kind == expected[rec.node]
+        expected[rec.node] = "wait_exit" if rec.kind == "wait_enter" else "wait_enter"
+        if rec.kind == "wait_exit":
+            # a node resumes in the delivery that unblocks it
+            assert prev.kind == "apply" and prev.node == rec.node and prev.time == rec.time
+    assert set(expected.values()) == {"wait_enter"}
+    assert drawn_run(*args).trace.records == records
 
 
 class TestTraceIO:
