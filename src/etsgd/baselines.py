@@ -14,7 +14,7 @@ import numpy as np
 
 from .node import Message, ProtocolError
 from .objectives import Dataset
-from .rngs import SAMPLE_STREAM, stream
+from .rngs import SAMPLE_STREAM, sample_draws, stream
 from .schedules import (
     DampedInverseTime,
     InverseTime,
@@ -74,7 +74,10 @@ class ThresholdNode:
     how far it has drifted (l1) from the model it last sent; crossing
     step_size(t) * coeff * dim triggers a broadcast of the full model.
     round_index counts broadcasts, step_in_round the steps since the last
-    one.  The engine drives it as a simnet.Driver, like ComputeNode.
+    one.  The engine drives it as a simnet.Driver, like ComputeNode.  The
+    gate's step_size(t + 1) is kept as the next step's alpha, and sample
+    indices come from rng in blocks (rngs.sample_draws) that give the
+    values one draw per step would give.
     """
 
     def __init__(
@@ -102,7 +105,6 @@ class ThresholdNode:
         self.total_steps = total_steps
         self.step_sched = step_sched
         self.mix_sched = mix_sched
-        self.rng = rng
         self.coeff = coeff
         self.w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
         self.last_sent = self.w.copy()
@@ -111,6 +113,8 @@ class ThresholdNode:
         self.round_index = 0
         self.step_in_round = 0
         self.broadcasts = 0
+        self._alpha = step_size(step_sched, 0)
+        self._samples = sample_draws(rng, self.indices, total_steps)
 
     @property
     def finished(self) -> bool:
@@ -131,10 +135,9 @@ class ThresholdNode:
     def advance(self):
         if self.finished:
             raise ProtocolError(f"node {self.node_id} advanced past its step budget")
-        alpha = step_size(self.step_sched, self.t)
+        alpha = self._alpha
         beta = step_size(self.mix_sched, self.t)
-        idx = int(self.indices[int(self.rng.integers(len(self.indices)))])
-        g = self.objective.grad(self.w, self.data, idx)
+        g = self.objective.grad(self.w, self.data, next(self._samples))
         pull = np.zeros_like(self.w)
         for wm in self.neighbor_models.values():
             pull += wm - self.w
@@ -144,7 +147,8 @@ class ThresholdNode:
 
         rnd, step = self.round_index, self.step_in_round
         drift = float(np.sum(np.abs(self.w - self.last_sent)))
-        gate = step_size(self.step_sched, self.t) * self.coeff * self.w.size
+        self._alpha = step_size(self.step_sched, self.t)
+        gate = self._alpha * self.coeff * self.w.size
         outbox = []
         fired = drift > gate
         if fired:

@@ -15,13 +15,14 @@ assignment, in which node c wins each slot with probability p[c].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .rngs import SETUP_STREAM, stream
+from .rngs import SETUP_STREAM, sample_draws, stream
 from .schedules import SampleSchedule, sample_size
 
 
@@ -121,7 +122,10 @@ class ComputeNode:
 
     The node owns its model, its round/step counters, the gradient sum of
     the current round, and one received-round counter per neighbor.  t
-    counts the local steps taken over all rounds.
+    counts the local steps taken over all rounds.  floor is the smallest
+    received counter (infinite without neighbors); on_receive keeps it, so
+    the lag gate is one compare.  Sample indices come from rng in blocks
+    (rngs.sample_draws) that give the values one draw per step would give.
     """
 
     def __init__(
@@ -150,14 +154,15 @@ class ComputeNode:
         self.budgets = list(budgets)
         self.etas = list(etas)
         self.max_lag = max_lag
-        self.rng = rng
         self.w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
         self.t = 0
         self.round_index = 0
         self.step_in_round = 0
         self.grad_sum = np.zeros(objective.dim)
         self.received = {int(e): 0 for e in neighbors}
+        self.floor = min(self.received.values(), default=math.inf)
         self.rounds_total = len(self.budgets)
+        self._samples = sample_draws(rng, self.indices, sum(self.budgets))
 
     @property
     def finished(self) -> bool:
@@ -165,20 +170,28 @@ class ComputeNode:
 
     def lag(self) -> int:
         """How many rounds this node runs ahead of its slowest neighbor."""
-        if not self.received:
-            return 0
-        return self.round_index - min(self.received.values())
+        return self.round_index - self.floor if self.received else 0
 
     def check_sync(self) -> bool:
         """True when the node may take a step now; False means wait for messages."""
-        return self.lag() <= self.max_lag
+        return self.round_index - self.floor <= self.max_lag
 
     def on_receive(self, msg: Message) -> None:
         """Apply a neighbor's round gradient sum and bump its received counter."""
-        if msg.sender not in self.received:
-            raise ProtocolError(f"node {self.node_id}: message from non-neighbor {msg.sender}")
-        self.w -= self.etas[msg.round_index] * msg.payload
-        self.received[msg.sender] += 1
+        sender, rnd = msg.sender, msg.round_index
+        count = self.received.get(sender)
+        if count is None:
+            raise ProtocolError(f"node {self.node_id}: message from non-neighbor {sender}")
+        # etas holds the step size of every round this node knows
+        if not 0 <= rnd < len(self.etas):
+            raise ProtocolError(
+                f"node {self.node_id}: message from node {sender} for round {rnd}, "
+                f"outside its rounds 0..{len(self.etas) - 1}"
+            )
+        self.w -= self.etas[rnd] * msg.payload
+        self.received[sender] = count + 1
+        if count == self.floor:
+            self.floor = min(self.received.values())
 
     def advance(self) -> tuple[int, int, bool, list[tuple[int, Message]]]:
         """One SGD step on a uniformly drawn sample; closes the round it spends.
@@ -192,15 +205,14 @@ class ComputeNode:
         """
         if self.finished:
             raise ProtocolError(f"node {self.node_id}: stepping after the final round")
-        if not self.check_sync():
+        if self.round_index - self.floor > self.max_lag:
             raise ProtocolError(
                 f"node {self.node_id}: stepping while {self.lag()} rounds ahead (bound {self.max_lag})"
             )
         rnd = self.round_index
         budget = self.budgets[rnd]
         if budget:
-            idx = int(self.indices[self.rng.integers(len(self.indices))])
-            g = self.objective.grad(self.w, self.data, idx)
+            g = self.objective.grad(self.w, self.data, next(self._samples))
             self.w -= self.etas[rnd] * g
             self.grad_sum += g
             self.step_in_round += 1

@@ -160,9 +160,10 @@ class Logistic:
         W = w.reshape(self.classes, self.features_dim + 1)
         xt = np.concatenate((x, _ONE))
         z = W @ xt
-        z -= z.max()
+        # the ufunc reductions .max()/.sum() wrap, without the wrapper's cost
+        z -= np.maximum.reduce(z)
         p = np.exp(z)
-        p /= p.sum()
+        p /= np.add.reduce(p)
         p[y] -= 1.0
         g = p[:, None] * xt
         if self.l2:

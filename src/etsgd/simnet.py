@@ -9,8 +9,10 @@ delivery that unblocks it, so waiting costs no virtual time.
 
 Latencies are sampled per concern from independent streams: one uniform
 draw per gradient step (scaled by the node's straggler factor) and one per
-message per link.  Delivery is reliable but not ordered; a slow message
-can be overtaken by a later fast one.
+message per link.  Each stream is drawn in blocks (rngs.uniform_draws) and
+consumed in event order, which gives the floats one numpy call per draw
+would give.  Delivery is reliable but not ordered; a slow message can be
+overtaken by a later fast one.
 
 The engine steps anything that implements Driver; ComputeNode and the
 threshold baseline's ThresholdNode both do.
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
 from .node import Message
-from .rngs import COMPUTE_STREAM, NETWORK_STREAM, stream
+from .rngs import COMPUTE_STREAM, NETWORK_STREAM, stream, uniform_draws
 from .topology import Topology, neighbors, read_text
 
 STEP_DONE = 0
@@ -86,14 +88,6 @@ class DelayModel:
         for lo, hi in (self.compute, self.network):
             if lo < 0 or hi < lo:
                 raise SimError(f"bad latency range ({lo}, {hi})")
-
-    def compute_delay(self, rng, factor: float = 1.0) -> float:
-        lo, hi = self.compute
-        return rng.uniform(lo, hi) * factor
-
-    def network_delay(self, rng) -> float:
-        lo, hi = self.network
-        return rng.uniform(lo, hi)
 
 
 class TraceRecord(NamedTuple):
@@ -244,6 +238,8 @@ class Simulation:
         delivered = 0
         records: list[TraceRecord] = []
         now = 0.0
+        compute_delay = uniform_draws(self._compute_rng, *self.delays.compute).__next__
+        network_delay = uniform_draws(self._network_rng, *self.delays.network).__next__
 
         def push(time, kind, node_id, msg=None):
             nonlocal seq
@@ -260,8 +256,7 @@ class Simulation:
                     records.append(
                         TraceRecord(now, node_id, "wait_exit", node.round_index, node.step_in_round, "")
                     )
-                push(now + self.delays.compute_delay(self._compute_rng, self._factors[node_id]),
-                     STEP_DONE, node_id)
+                push(now + compute_delay() * self._factors[node_id], STEP_DONE, node_id)
             elif not waiting[node_id]:
                 waiting[node_id] = True
                 records.append(
@@ -284,7 +279,7 @@ class Simulation:
                         TraceRecord(now, node_id, "round_end", rnd, step, f"msgs={len(outbox)}")
                     )
                     for dest, out in outbox:
-                        push(now + self.delays.network_delay(self._network_rng), DELIVER, dest, out)
+                        push(now + network_delay(), DELIVER, dest, out)
                         sent += 1
                     if round_hook is not None:
                         round_hook(node, rnd, now)

@@ -110,18 +110,35 @@ class TestReceive:
         with pytest.raises(ProtocolError):
             node.on_receive(Message(3, np.zeros(2), 0))
 
+    @pytest.mark.parametrize("rnd", [2, -1])
+    def test_rejects_round_outside_its_rounds(self, rnd):
+        # a negative round would otherwise apply the last round's step size
+        node = make_node(budgets=(1, 1), etas=[0.5, 0.1], node_id=3, neighbors=(1,))
+        with pytest.raises(ProtocolError, match=f"node 3: message from node 1 for round {rnd},"):
+            node.on_receive(Message(1, np.ones(2), rnd))
+        assert np.array_equal(node.w, np.zeros(2))
+        assert node.received[1] == 0
+
 
 class TestSync:
-    def test_lag_and_check(self):
+    @staticmethod
+    def node_in_round_3(received):
+        """A node in round 3 that got rounds 0..count-1 from each neighbor."""
         node = make_node(budgets=(1,) * 5, etas=[0.1] * 5, neighbors=(1, 4), max_lag=1)
         node.round_index = 3
-        node.received = {1: 3, 4: 3}
+        for sender, count in received.items():
+            for rnd in range(count):
+                node.on_receive(Message(sender, np.zeros(2), rnd))
+        return node
+
+    def test_lag_and_check(self):
+        node = self.node_in_round_3({1: 3, 4: 3})
         assert node.lag() == 0
         assert node.check_sync()
-        node.received = {1: 1, 4: 3}
+        node = self.node_in_round_3({1: 1, 4: 3})
         assert node.lag() == 2
         assert not node.check_sync()
-        node.received = {1: 2, 4: 2}
+        node = self.node_in_round_3({1: 2, 4: 2})
         assert node.check_sync()  # lag exactly at the bound may proceed
 
     def test_no_neighbors_never_waits(self):

@@ -1,11 +1,13 @@
 """Discrete-event engine: determinism, tracing, stragglers, failure modes."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from etsgd.consistency import verify_round_delay
-from etsgd.node import ComputeNode
+from etsgd.node import ComputeNode, ProtocolError
 from etsgd.objectives import Dataset, MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
 from etsgd.schedules import Constant, Linear, round_plan
@@ -41,16 +43,29 @@ class TestDelayModel:
             DelayModel(network=(2.0, 1.0))
 
     def test_draws_inside_range(self):
+        # two nodes that never wait, one step per round: each gap between a
+        # node's steps is one compute draw, and each delivery lands one
+        # network draw after the round_end that sent it
+        nodes, topo = build_nodes(2, [1] * 50, max_lag=math.inf, topo=line(2))
         dm = DelayModel(compute=(0.2, 0.4), network=(1.0, 1.5))
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            assert 0.2 <= dm.compute_delay(rng) <= 0.4
-            assert 1.0 <= dm.network_delay(rng) <= 1.5
+        records = Simulation(nodes, topo, dm, seed=0).run().trace.records
+        sent = {(r.node, r.round_index): r.time for r in records if r.kind == "round_end"}
+        for node in range(2):
+            times = [0.0] + [r.time for r in records if r.kind == "grad" and r.node == node]
+            assert len(times) == 51
+            for before, after in zip(times, times[1:]):
+                assert 0.2 <= after - before <= 0.4
+        applies = [r for r in records if r.kind == "apply"]
+        assert len(applies) == 100
+        for r in applies:
+            assert 1.0 <= r.time - sent[int(r.detail[len("from="):]), r.round_index] <= 1.5
 
     def test_straggler_factor_scales(self):
-        dm = DelayModel()
-        plain = dm.compute_delay(np.random.default_rng(1))
-        scaled = dm.compute_delay(np.random.default_rng(1), 5.0)
+        # one node: the run lasts exactly its compute draws
+        plain = Simulation(*build_nodes(1, [10, 10]), seed=1).run().duration_ms
+        sim = Simulation(*build_nodes(1, [10, 10]), seed=1)
+        sim.set_straggler(0, 5.0)
+        scaled = sim.run().duration_ms
         assert scaled == pytest.approx(5 * plain)
 
 
@@ -170,6 +185,13 @@ class TestEngine:
         for b in blocked:
             assert b["received"] == nodes[b["node"]].received
 
+    def test_message_past_receivers_rounds_rejected(self):
+        # at d=0 node 1 closes round 1 while node 0, which has one round, is done
+        nodes, topo = build_nodes(3, [2, 2, 2], max_lag=0)
+        nodes[0] = build_nodes(3, [2], max_lag=0)[0][0]
+        with pytest.raises(ProtocolError, match="node 0: message from node [12] for round 1,"):
+            Simulation(nodes, topo, seed=0).run()
+
 
 @st.composite
 def connected_topologies(draw):
@@ -193,7 +215,7 @@ def drawn_run(topo, budgets, max_lag, straggler, network, seed):
     nodes = build_nodes(topo.n, budgets, max_lag, seed, topo)[0]
     sim = Simulation(nodes, topo, DelayModel(network=network), seed)
     sim.set_straggler(*straggler)
-    return sim.run()
+    return sim.run(), nodes
 
 
 @given(
@@ -211,9 +233,12 @@ def test_engine_properties(data, topo, sched, iterations, max_lag, factor, lo, s
     straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
     budgets, _ = round_plan(sched, iterations)
     args = (topo, budgets, max_lag, straggler, (lo, hi), seed)
-    result = drawn_run(*args)  # raises DeadlockError on a deadlock
+    result, nodes = drawn_run(*args)  # raises DeadlockError on a deadlock
     records = result.trace.records
     assert result.rounds_completed == [len(budgets)] * topo.n
+    for node in nodes:
+        # the lag gate's incremental floor agrees with a fresh minimum
+        assert node.floor == min(node.received.values(), default=math.inf)
     assert verify_round_delay(result.trace, max_lag).ok
     expected = {i: "wait_enter" for i in range(topo.n)}
     for prev, rec in zip([None, *records], records):
@@ -226,7 +251,7 @@ def test_engine_properties(data, topo, sched, iterations, max_lag, factor, lo, s
             # a node resumes in the delivery that unblocks it
             assert prev.kind == "apply" and prev.node == rec.node and prev.time == rec.time
     assert set(expected.values()) == {"wait_enter"}
-    assert drawn_run(*args).trace.records == records
+    assert drawn_run(*args)[0].trace.records == records
 
 
 class TestTraceIO:
