@@ -31,6 +31,16 @@ _ONE = np.ones(1)
 # 2 or 3 classes over 784 features move in the last place
 EVAL_BATCH = 16
 
+# held-out rows * features from which the harness evaluates round snapshot
+# batches on a worker thread while the simulation keeps stepping.  The worker
+# gains only where a batch's GEMM and ufunc loops, which release the GIL,
+# outweigh the GIL handoffs of its Python-level steps.  Measured on a 2-core
+# host (ring n=5, 10 classes, eval every round, one BLAS thread, 10 paired
+# runs each): 1000 x 784 ran 1.08x faster on the worker and 3000 x 784 1.25x,
+# each in 9 of 10 pairs; from 300 x 784 to 700 x 784 the outcome went either
+# way with the shape (0.90x to 1.10x), and 1000 x 2 blob sets were at parity
+EVAL_THREAD_MIN = 750_000
+
 
 class ObjectiveError(ValueError):
     """Raised for shape mismatches and unsupported objective operations."""

@@ -8,6 +8,7 @@ re-pins them.  The digests assume IEEE double arithmetic with the
 summation order of the numpy/BLAS build the suite runs on.
 """
 import hashlib
+import threading
 
 import pytest
 
@@ -97,6 +98,12 @@ def test_golden_digests(make_config, tmp_path):
     assert digests(make_config(tmp_path), tmp_path) == GOLDEN[make_config]
 
 
+@pytest.mark.parametrize("make_config", list(GOLDEN), ids=lambda f: f.__name__)
+def test_golden_digests_with_snapshots_on_worker(make_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "EVAL_THREAD_MIN", 0)
+    assert digests(make_config(tmp_path), tmp_path) == GOLDEN[make_config]
+
+
 def test_eval_batch_leaves_csv_unchanged(tmp_path, monkeypatch):
     cfg = idx_logistic(tmp_path)
     sizes = []
@@ -120,3 +127,28 @@ def test_eval_batch_leaves_csv_unchanged(tmp_path, monkeypatch):
         assert set(full) == {batch} and 0 <= partial < batch and final == cfg.n
     assert 0 < partial < EVAL_BATCH
     assert csvs[1] == csvs[EVAL_BATCH]
+
+
+def test_worker_thread_leaves_csv_unchanged(tmp_path, monkeypatch):
+    cfg = idx_logistic(tmp_path)
+    threads = []
+    evaluate_many = Logistic.evaluate_many
+
+    def recorded(self, ws, ds):
+        threads.append(threading.current_thread())
+        return evaluate_many(self, ws, ds)
+
+    monkeypatch.setattr(Logistic, "evaluate_many", recorded)
+    csvs = {}
+    for mode, least_size in (("worker", 0), ("inline", 10**18)):
+        monkeypatch.setattr(harness, "EVAL_THREAD_MIN", least_size)
+        threads.clear()
+        path = tmp_path / f"{mode}.csv"
+        export_csv(run_experiment(cfg), path)
+        csvs[mode] = path.read_bytes()
+        # every snapshot batch, the partial one too, then the final models
+        *batches, final = threads
+        assert len(batches) >= 2 and final is threading.main_thread()
+        off_main = {t is not threading.main_thread() for t in batches}
+        assert off_main == {mode == "worker"}
+    assert csvs["worker"] == csvs["inline"]

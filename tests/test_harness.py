@@ -1,7 +1,11 @@
 """Experiment runner: config validation, metrics, sweeps, exports."""
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from etsgd import harness
 from etsgd.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -16,7 +20,8 @@ from etsgd.harness import (
     run_timeline,
     sweep,
 )
-from etsgd.objectives import write_idx, synthetic_blobs
+from etsgd.node import ComputeNode, ProtocolError
+from etsgd.objectives import MeanQuadratic, ObjectiveError, write_idx, synthetic_blobs
 from etsgd.schedules import Diminishing, ScheduleError, step_size
 
 
@@ -177,6 +182,57 @@ class TestRunExperiment:
             objective="blobs", samples=60, n=2, iterations=20,
             total_iterations=None, seed=0, eval_every=0, eval_samples=30))
         assert all(nm.final_accuracy is not None for nm in blob.nodes)
+
+
+class TestSnapshotWorker:
+    """Round snapshots evaluated on the worker thread: failures and clean-up."""
+
+    # one round per step: 60 snapshots per node, 12 batches on the worker
+    CFG = dict(sample_schedule="const:1", iterations=60, eval_every=1)
+
+    @pytest.fixture(autouse=True)
+    def worker_on(self, monkeypatch):
+        monkeypatch.setattr(harness, "EVAL_THREAD_MIN", 0)
+
+    def test_worker_failure_is_raised_by_the_run(self, monkeypatch):
+        err = ObjectiveError("snapshot batch failed")
+        evaluate_many = MeanQuadratic.evaluate_many
+
+        def fails_off_main(self, ws, ds):
+            if threading.current_thread() is not threading.main_thread():
+                raise err
+            return evaluate_many(self, ws, ds)
+
+        monkeypatch.setattr(MeanQuadratic, "evaluate_many", fails_off_main)
+        before = set(threading.enumerate())
+        with pytest.raises(ObjectiveError) as info:
+            run_experiment(quad_config(**self.CFG))
+        assert info.value is err
+        assert set(threading.enumerate()) == before
+
+    def test_run_that_raises_leaves_no_thread(self, monkeypatch):
+        advance = ComputeNode.advance
+        steps = itertools.count()
+        evaluated_off_main = []
+        evaluate_many = MeanQuadratic.evaluate_many
+
+        def fails_at_step_100(self):
+            if next(steps) == 100:
+                raise ProtocolError("node failed mid-run")
+            return advance(self)
+
+        def recorded(self, ws, ds):
+            evaluated_off_main.append(threading.current_thread() is not threading.main_thread())
+            return evaluate_many(self, ws, ds)
+
+        monkeypatch.setattr(ComputeNode, "advance", fails_at_step_100)
+        monkeypatch.setattr(MeanQuadratic, "evaluate_many", recorded)
+        before = set(threading.enumerate())
+        with pytest.raises(ProtocolError, match="mid-run"):
+            run_experiment(quad_config(**self.CFG))
+        assert set(threading.enumerate()) == before
+        # batches were on the worker when the run failed
+        assert evaluated_off_main and all(evaluated_off_main)
 
 
 def test_run_timeline_covers_all_slots():

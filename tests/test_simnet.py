@@ -228,7 +228,9 @@ def drawn_run(topo, budgets, max_lag, straggler, network, seed):
     lo=st.floats(0.0, 0.1),
     seed=st.integers(0, 2**16),
 )
-def test_engine_properties(data, topo, sched, iterations, max_lag, factor, lo, seed):
+def test_engine_properties(
+    tmp_path_factory, data, topo, sched, iterations, max_lag, factor, lo, seed
+):
     hi = data.draw(st.floats(lo, 20.0), label="network hi")
     straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
     budgets, _ = round_plan(sched, iterations)
@@ -252,6 +254,13 @@ def test_engine_properties(data, topo, sched, iterations, max_lag, factor, lo, s
             assert prev.kind == "apply" and prev.node == rec.node and prev.time == rec.time
     assert set(expected.values()) == {"wait_enter"}
     assert drawn_run(*args)[0].trace.records == records
+    # write -> read -> write gives the same bytes and the same records
+    first, second = (tmp_path_factory.getbasetemp() / f"drawn{i}.trace" for i in (1, 2))
+    result.trace.write(first)
+    back = Trace.read(first)
+    back.write(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert (back.n, back.edges, back.records) == (topo.n, result.trace.edges, records)
 
 
 class TestTraceIO:
