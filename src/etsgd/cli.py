@@ -7,9 +7,14 @@ Schedule mini-grammar, shared by flags and config files:
   sample schedules   linear:a,p,b | const:s | thetalog:scale
   step schedules     diminishing:eta0,beta | invtime:eta0,epsilon | damped:eta0,epsilon
 
+Every task setting is declared once, as a row of ``_SETTINGS``; its flag,
+its config-file key, its value check and its help default all come from it.
+
 A config file (--config) is INI-style; keys in any section use the long
 flag names without the leading dashes (e.g. "nodes = 5").  Command-line
-flags override config values.  --seed must always be given explicitly.
+flags override config values, and --iters or --total-iters on the command
+line replaces either budget key of the file.  --seed must always be given
+explicitly.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import replace
+from typing import Any, Callable, NamedTuple
 
 from .consistency import verify_round_delay
 from .harness import (
@@ -47,148 +53,118 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _add_task_flags(p: argparse.ArgumentParser) -> None:
-    sup = argparse.SUPPRESS
-    p.add_argument("--name", default=sup, help="experiment label in outputs (default: run)")
-    p.add_argument(
-        "--topology",
-        default=sup,
-        help="ring | line | complete | path to an edge-list file (default: ring)",
-    )
-    p.add_argument("--nodes", type=int, default=sup, help="node count n (default: 5)")
-    p.add_argument(
-        "--objective",
-        default=sup,
-        help="blobs | quadratic | idx (default: blobs)",
-    )
-    p.add_argument("--samples", type=int, default=sup, help="training samples m (default: 2000)")
-    p.add_argument("--dim", type=int, default=sup, help="feature dimension (default: 2)")
-    p.add_argument("--classes", type=int, default=sup, help="class count for blobs (default: 2)")
-    p.add_argument(
-        "--separation", type=float, default=sup, help="blob center radius (default: 10.0)"
-    )
-    p.add_argument(
-        "--center",
-        default=sup,
-        help="comma-separated cloud center for the quadratic objective (default: origin)",
-    )
-    p.add_argument(
-        "--spread", type=float, default=sup, help="quadratic cloud spread (default: 1.0)"
-    )
-    p.add_argument("--l2", type=float, default=sup, help="L2 strength for logistic (default: 0)")
-    p.add_argument("--images", default=sup, help="IDX images path for --objective idx")
-    p.add_argument("--labels", default=sup, help="IDX labels path for --objective idx")
-    p.add_argument(
-        "--schedule",
-        default=sup,
-        help="sample-size schedule, e.g. linear:10,1,0 (default: linear:10,1,0)",
-    )
-    p.add_argument(
-        "--step",
-        default=sup,
-        help="step-size schedule, e.g. diminishing:0.01,0.01 (default: diminishing:0.01,0.01)",
-    )
-    p.add_argument("--d", type=int, default=sup, help="round-lag bound d (default: 1)")
-    p.add_argument("--iters", type=int, default=sup, help="iterations per node (default: 60000)")
-    p.add_argument(
-        "--total-iters",
-        type=int,
-        default=sup,
-        help="total iterations split over nodes as ceil(total/n) (overrides --iters)",
-    )
-    p.add_argument(
-        "--algorithm", default=sup, help="scheduled | threshold (default: scheduled)"
-    )
-    p.add_argument(
-        "--coeff", type=float, default=sup, help="threshold trigger coefficient (default: 0.2)"
-    )
-    p.add_argument(
-        "--straggler",
-        action="append",
-        default=sup,
-        metavar="NODE:FACTOR",
-        help="slow one node's compute by FACTOR (repeatable)",
-    )
-    p.add_argument(
-        "--compute", default=sup, help="compute latency range lo,hi in ms (default: 0.1,1.0)"
-    )
-    p.add_argument(
-        "--network", default=sup, help="network latency range lo,hi in ms (default: 0.1,1.5)"
-    )
-    p.add_argument(
-        "--eval-every",
-        type=int,
-        default=sup,
-        help="evaluate every this many rounds, 0 disables curves (default: 1)",
-    )
-    p.add_argument(
-        "--eval-samples", type=int, default=sup, help="held-out set size (default: 1000)"
-    )
-    p.add_argument("--config", default=sup, help="INI config file; flags override it")
-    p.add_argument("--seed", type=int, required=True, help="run seed (required)")
+class _Setting(NamedTuple):
+    field: str  # the ExperimentConfig field it sets
+    parse: Callable[[Any], Any]  # text -> value; a bad value raises ValueError(reason)
+    help: str  # "{}" shows the default
+    entry: str | None = None  # a repeatable flag's metavar; the file lists entries on one line
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _pair(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} expects lo,hi as two numbers, got {text!r}") from None
+        raise ValueError(f"expects lo,hi as two numbers, got {text!r}") from None
     return lo, hi
 
 
-def _parse_stragglers(entries) -> dict[int, float]:
+def _center(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"expects comma-separated numbers, got {text!r}") from None
+
+
+def _stragglers(entries: list[str]) -> dict[int, float]:
     out: dict[int, float] = {}
     for entry in entries:
         try:
-            node, factor = str(entry).split(":")
+            node, factor = entry.split(":")
             out[int(node)] = float(factor)
         except ValueError:
-            raise ValueError(
-                f"--straggler expects NODE:FACTOR with an integer node, got {entry!r}"
-            ) from None
+            raise ValueError(f"expects NODE:FACTOR with an integer node, got {entry!r}") from None
     return out
 
 
-# config-file key (the flag name) -> (value type, ExperimentConfig field);
-# keys without a field are parsed further in _build_config
-_CONFIG_KEYS = {
-    "name": (str, "name"),
-    "topology": (str, "topology"),
-    "nodes": (int, "n"),
-    "objective": (str, "objective"),
-    "samples": (int, "samples"),
-    "dim": (int, "dim"),
-    "classes": (int, "classes"),
-    "separation": (float, "separation"),
-    "center": (str, None),
-    "spread": (float, "spread"),
-    "l2": (float, "l2"),
-    "images": (str, "idx_images"),
-    "labels": (str, "idx_labels"),
-    "schedule": (str, "sample_schedule"),
-    "step": (str, "step_schedule"),
-    "d": (int, "max_lag"),
-    "iters": (int, None),
-    "total-iters": (int, None),
-    "algorithm": (str, "algorithm"),
-    "coeff": (float, "threshold_coeff"),
-    "straggler": (str, None),
-    "compute": (str, None),
-    "network": (str, None),
-    "eval-every": (int, "eval_every"),
-    "eval-samples": (int, "eval_samples"),
-}
+# flag name, which is also the config-file key -> (field, parser, help[, entry]), in help order
+_SETTINGS = {key: _Setting(*row) for key, row in {
+    "name": ("name", str, "experiment label in outputs (default: {})"),
+    "topology": (
+        "topology", str, "ring | line | complete | path to an edge-list file (default: {})"
+    ),
+    "nodes": ("n", int, "node count n (default: {})"),
+    "objective": ("objective", str, "blobs | quadratic | idx (default: {})"),
+    "samples": ("samples", int, "training samples m (default: {})"),
+    "dim": ("dim", int, "feature dimension (default: {})"),
+    "classes": ("classes", int, "class count for blobs (default: {})"),
+    "separation": ("separation", float, "blob center radius (default: {})"),
+    "center": (
+        "center", _center,
+        "comma-separated cloud center for the quadratic objective (default: origin)",
+    ),
+    "spread": ("spread", float, "quadratic cloud spread (default: {})"),
+    "l2": ("l2", float, "L2 strength for logistic (default: {:g})"),
+    "images": ("idx_images", str, "IDX images path for --objective idx"),
+    "labels": ("idx_labels", str, "IDX labels path for --objective idx"),
+    "schedule": ("sample_schedule", str, "sample-size schedule, e.g. linear:10,1,0 (default: {})"),
+    "step": ("step_schedule", str, "step-size schedule, e.g. diminishing:0.01,0.01 (default: {})"),
+    "d": ("max_lag", int, "round-lag bound d (default: {})"),
+    "iters": ("iterations", int, "iterations per node (default: {})"),
+    "total-iters": (
+        "total_iterations", int,
+        "total iterations split over nodes as ceil(total/n) (overrides --iters)",
+    ),
+    "algorithm": ("algorithm", str, "scheduled | threshold (default: {})"),
+    "coeff": ("threshold_coeff", float, "threshold trigger coefficient (default: {})"),
+    "straggler": (
+        "stragglers", _stragglers, "slow one node's compute by FACTOR (repeatable)", "NODE:FACTOR"
+    ),
+    "compute": ("compute_range", _pair, "compute latency range lo,hi in ms (default: {0[0]},{0[1]})"),
+    "network": ("network_range", _pair, "network latency range lo,hi in ms (default: {0[0]},{0[1]})"),
+    "eval-every": (
+        "eval_every", int, "evaluate every this many rounds, 0 disables curves (default: {})"
+    ),
+    "eval-samples": ("eval_samples", int, "held-out set size (default: {})"),
+}.items()}
+# argparse converts flags of these types, keeping its own messages; other flags parse after it
+_TYPES = (int, float, str)
+
+
+def _defaults() -> ExperimentConfig:
+    """ExperimentConfig's defaults plus the per-node budget a bare ``etsgd run`` uses."""
+    return ExperimentConfig(iterations=60000)
+
+
+def _add_flag(p: argparse.ArgumentParser, key: str, default) -> None:
+    row = _SETTINGS[key]
+    p.add_argument(
+        f"--{key}", default=default, help=row.help.format(getattr(_defaults(), row.field)),
+        type=row.parse if row.parse in _TYPES else None,
+        action="append" if row.entry else "store", metavar=row.entry,
+    )
+
+
+def _add_task_flags(p: argparse.ArgumentParser) -> None:
+    for key in _SETTINGS:
+        _add_flag(p, key, argparse.SUPPRESS)
+    p.add_argument("--config", default=argparse.SUPPRESS, help="INI config file; flags override it")
+    p.add_argument("--seed", type=int, required=True, help="run seed (required)")
+
+
+def _parse(parse: Callable[[Any], Any], raw, where: str):
+    """parse(raw); a ValueError from it is raised again as where + reason."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        reason = f"expected {parse.__name__}, got {raw!r}" if parse in _TYPES else exc
+        raise ValueError(f"{where}{reason}") from None
 
 
 def _read_config_file(path: str) -> dict:
-    """Settings from an INI file; every error names the file, and the line or key."""
-    try:
-        text = read_text(path)
-    except OSError:
-        raise ValueError(f"config file not found: {path}") from None
+    """Parsed settings from an INI file; every error names the file, and the line or key."""
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(text, source=path)
+        parser.read_string(read_text(path), source=path)
         items = [(sec, *kv) for sec in parser.sections() for kv in parser.items(sec)]
     except configparser.MissingSectionHeaderError as exc:
         line = exc.line.strip()
@@ -198,57 +174,31 @@ def _read_config_file(path: str) -> dict:
     except configparser.Error as exc:  # a repeated key or section; a bad %-interpolation
         where = f":{exc.lineno}" if hasattr(exc, "lineno") else f": [{exc.section}] {exc.option}"
         raise ValueError(f"{path}{where}: {exc.message.rpartition(']: ')[2]}") from None
-    merged: dict = {}
+    settings: dict = {}
     for section, key, raw in items:
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}: [{section}] {key}: unknown config key")
-        kind = _CONFIG_KEYS[key][0]
-        try:
-            merged[key] = kind(raw)
-        except ValueError:
-            raise ValueError(
-                f"{path}: [{section}] {key}: expected {kind.__name__}, got {raw!r}"
-            ) from None
-    return merged
+        row = _SETTINGS[key]
+        settings[key] = _parse(row.parse, raw.split() if row.entry else raw,
+                               f"{path}: [{section}] {key}: ")
+    return settings
 
 
 def _build_config(ns: argparse.Namespace) -> ExperimentConfig:
-    given = {k.replace("_", "-"): v for k, v in vars(ns).items()}
-    settings: dict = {}
-    if "config" in given:
-        settings.update(_read_config_file(given.pop("config")))
-    settings.update(given)
-
-    cfg = ExperimentConfig(seed=settings["seed"])
-    updates = {
-        field_name: settings[key]
-        for key, (_, field_name) in _CONFIG_KEYS.items()
-        if field_name is not None and key in settings
-    }
-    if "center" in settings:
-        raw = str(settings["center"])
-        try:
-            updates["center"] = tuple(float(x) for x in raw.split(","))
-        except ValueError:
-            raise ValueError(f"--center expects comma-separated numbers, got {raw!r}") from None
-    if "compute" in settings:
-        updates["compute_range"] = _parse_pair(settings["compute"], "--compute")
-    if "network" in settings:
-        updates["network_range"] = _parse_pair(settings["network"], "--network")
-    if "straggler" in settings:
-        raw = settings["straggler"]
-        entries = raw if isinstance(raw, list) else str(raw).split()
-        updates["stragglers"] = _parse_stragglers(entries)
+    settings = _read_config_file(ns.config) if "config" in ns else {}
+    given = {dest.replace("_", "-"): value for dest, value in vars(ns).items()}
+    flags = {k: _parse(_SETTINGS[k].parse, v, f"--{k} ") for k, v in given.items() if k in _SETTINGS}
+    budget = ("iters", "total-iters")  # one setting: a flag replaces either file key
+    if any(key in flags for key in budget):
+        settings = {k: v for k, v in settings.items() if k not in budget}
+    settings.update(flags)
     if "total-iters" in settings:
-        updates["total_iterations"] = settings["total-iters"]
-        updates["iterations"] = None
-    elif "iters" in settings:
-        updates["iterations"] = settings["iters"]
-        updates["total_iterations"] = None
-    else:
-        updates["iterations"] = 60000
-        updates["total_iterations"] = None
-    return replace(cfg, **updates)
+        settings["iters"] = None
+    updates = {_SETTINGS[key].field: value for key, value in settings.items()}
+    cfg = replace(_defaults(), seed=ns.seed, **updates)
+    if "config" in ns:  # settings that do not fit together name the file they came from
+        _parse(ExperimentConfig.validate, cfg, f"{ns.config} and flags: ")
+    return cfg
 
 
 def _print_metrics(m: Metrics, file=None) -> None:
@@ -293,8 +243,9 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _build_config(ns)
-    values = [v for v in ns.values.split(",") if v]
-    table = sweep(cfg, ns.axis, [float(v) if "." in v else int(v) for v in values])
+    kind = float if ns.axis == "threshold-coeff" else int
+    values = [_parse(kind, v, "--values: ") for v in ns.values.split(",") if v]
+    table = sweep(cfg, ns.axis, values)
     if ns.out:
         export_csv(table, ns.out)
     for m in table:
@@ -405,10 +356,8 @@ def build_parser() -> _Parser:
     gen_p = sub.add_parser("gen-data", help="write a synthetic blob dataset as IDX files")
     gen_p.add_argument("--out-images", required=True)
     gen_p.add_argument("--out-labels", required=True)
-    gen_p.add_argument("--samples", type=int, default=2000, help="(default: 2000)")
-    gen_p.add_argument("--dim", type=int, default=2, help="(default: 2)")
-    gen_p.add_argument("--classes", type=int, default=2, help="(default: 2)")
-    gen_p.add_argument("--separation", type=float, default=10.0, help="(default: 10.0)")
+    for key in ("samples", "dim", "classes", "separation"):
+        _add_flag(gen_p, key, getattr(_defaults(), _SETTINGS[key].field))
     gen_p.add_argument("--seed", type=int, required=True, help="generator seed (required)")
     gen_p.set_defaults(func=_cmd_gen_data)
 
@@ -427,10 +376,10 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except Exception as e:  # runtime failures: deadlocks, protocol faults, I/O
+    except Exception as e:  # runtime failures: deadlocks, protocol faults
         print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

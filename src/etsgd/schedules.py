@@ -181,7 +181,7 @@ def parse_sample_schedule(text: str) -> SampleSchedule:
             return Constant(int(parts[0]))
         if kind == "thetalog" and len(parts) == 1:
             return LogDamped(parts[0])
-    except (ValueError, ScheduleError) as exc:
+    except (ValueError, OverflowError, ScheduleError) as exc:  # int(inf) overflows
         raise ScheduleError(f"bad sample schedule {text!r}: {exc}") from None
     raise ScheduleError(
         f"bad sample schedule {text!r}; expected linear:a,p,b | const:s | thetalog:scale"

@@ -1,7 +1,15 @@
 """Command-line interface: flag parsing, config files, subcommands, exit codes."""
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etsgd import cli
+from etsgd.harness import ExperimentConfig
 
 
 def run_cli(argv):
@@ -167,6 +175,43 @@ class TestConfigFile:
         ))
         assert run_cli(["run", "--config", path, "--seed", "2"]) == 0
 
+    def iters_column(self, csv):
+        return {line.split(",")[3] for line in csv.read_text().splitlines()[1:]}
+
+    def test_iters_flag_replaces_file_total_iters(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, (
+            "[task]\nobjective = quadratic\nsamples = 50\nnodes = 3\n"
+            "total-iters = 30\neval-every = 0\n"
+        ))
+        out = tmp_path / "m.csv"
+        argv = ["run", "--config", path, "--iters", "5", "--seed", "1", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert self.iters_column(out) == {"5"}
+
+    def test_total_iters_flag_replaces_file_iters(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, (
+            "[task]\nobjective = quadratic\nsamples = 50\nnodes = 3\n"
+            "iters = 30\neval-every = 0\n"
+        ))
+        out = tmp_path / "m.csv"
+        argv = ["run", "--config", path, "--total-iters", "6", "--seed", "1", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert self.iters_column(out) == {"2"}  # ceil(6/3)
+
+    def test_bad_special_value_names_file(self, tmp_path, capsys):
+        bad = {"center": "1,x", "compute": "1,x", "network": "2", "straggler": "0:2 1=3"}
+        for key, value in bad.items():
+            path = self.write_config(tmp_path, f"[task]\n{key} = {value}\n")
+            assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+            err = capsys.readouterr().err
+            assert f"error: {path}: [task] {key}: expects " in err
+            assert f"--{key}" not in err
+
+    def test_invalid_settings_name_file(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "[task]\nnodes = 0\n")
+        assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+        assert f"error: {path} and flags: n must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_constant_schedule_sweep(self, tmp_path, capsys):
@@ -188,6 +233,21 @@ class TestSweep:
         argv = ["sweep", *QUAD, "--seed", "1", "--axis", "gamma", "--values", "1"]
         assert run_cli(argv) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_values_take_the_axis_type(self, capsys, monkeypatch):
+        bad = {"n": "1.5", "d": "1.5", "K": "2.0", "constant-s": "x", "threshold-coeff": "x"}
+        for axis, value in bad.items():
+            argv = ["sweep", *QUAD, "--seed", "1", "--axis", axis, "--values", f"1,{value}"]
+            assert run_cli(argv) == 1
+            kind = "float" if axis == "threshold-coeff" else "int"
+            assert f"error: --values: expected {kind}, got {value!r}" in capsys.readouterr().err
+        swept = []
+        monkeypatch.setattr(cli, "sweep", lambda cfg, axis, values: swept.append(values) or [])
+        assert run_cli(["sweep", *QUAD, "--seed", "1", "--axis", "d", "--values", "1,2"]) == 0
+        assert run_cli(["sweep", *QUAD, "--seed", "1", "--axis", "threshold-coeff",
+                        "--values", "0.5,1"]) == 0
+        assert swept == [[1, 2], [0.5, 1.0]]
+        assert [type(v) for v in swept[1]] == [float, float]
 
 
 class TestCompare:
@@ -276,3 +336,88 @@ class TestDataTools:
         argv = ["run", "--objective", "idx", "--nodes", "2", "--iters", "20",
                 "--eval-every", "0", "--seed", "4"]
         assert run_cli(argv) == 1
+
+
+class TestInputPaths:
+    def test_directory_input_exits_one(self, tmp_path, capsys):
+        d = str(tmp_path)
+        for argv in (
+            ["run", *QUAD, "--seed", "1", "--topology", d],
+            ["run", "--objective", "idx", "--images", d, "--labels", d, "--nodes", "2",
+             "--iters", "20", "--eval-every", "0", "--seed", "1"],
+            ["validate-trace", "--trace", d, "--d", "1"],
+            ["inspect-idx", "--path", d],
+        ):
+            assert run_cli(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and d in err, argv
+
+
+# one value per settings row, as the entries of a flag (repeated for a repeatable
+# row) and, joined by spaces, as one config-file value; each differs from the default
+ROW_VALUES = {
+    "name": ["exp"], "topology": ["line"], "nodes": ["4"], "objective": ["quadratic"],
+    "samples": ["100"], "dim": ["4"], "classes": ["3"], "separation": ["3.5"],
+    "center": ["1.5,-2"], "spread": ["2.5"], "l2": ["0.01"], "images": ["x.idx"],
+    "labels": ["y.idx"], "schedule": ["const:4"], "step": ["invtime:0.1,0.01"], "d": ["3"],
+    "iters": ["7"], "total-iters": ["9"], "algorithm": ["threshold"], "coeff": ["0.5"],
+    "straggler": ["0:2.0", "1:3.0"], "compute": ["0.2,2.0"], "network": ["0.3,3.0"],
+    "eval-every": ["2"], "eval-samples": ["10"],
+}
+
+
+def build(argv):
+    return cli._build_config(cli.build_parser().parse_args(["run", *argv, "--seed", "1"]))
+
+
+class TestSettingsTable:
+    def test_every_row_has_a_value(self):
+        assert list(ROW_VALUES) == list(cli._SETTINGS)
+
+    @pytest.mark.parametrize("key", list(ROW_VALUES))
+    def test_flag_and_file_build_equal_configs(self, key, tmp_path):
+        entries = ROW_VALUES[key]
+        path = tmp_path / "one.ini"
+        path.write_text(f"[task]\n{key} = {' '.join(entries)}\n")
+        from_flag = build([arg for v in entries for arg in (f"--{key}", v)])
+        from_file = build(["--config", str(path)])
+        assert from_flag == from_file
+        assert from_flag != build([])
+
+    def test_bare_run_defaults(self):
+        assert build([]) == ExperimentConfig(iterations=60000, seed=1)
+
+
+INI_KEYS = sorted(cli._SETTINGS)
+# characters that mutate a valid value into a truncated, malformed or non-numeric one
+MUTATIONS = st.text(alphabet="0123456789.,:-+e x%_nai", max_size=8)
+
+
+@st.composite
+def ini_values(draw):
+    key = draw(st.sampled_from(INI_KEYS))
+    valid = " ".join(ROW_VALUES[key])
+    cut = draw(st.integers(0, len(valid)))
+    value = draw(st.sampled_from([
+        valid, valid[:cut], valid[:cut] + draw(MUTATIONS) + valid[cut:], draw(MUTATIONS),
+    ]))
+    return key, value
+
+
+@settings(max_examples=300)
+@given(st.lists(ini_values(), max_size=6, unique_by=lambda kv: kv[0]))
+@example([("schedule", "const:1e999")])
+def test_fuzzed_config_files_exit_cleanly(pairs):
+    """Any INI text over the table's keys: exit 0, or exit 1 naming the file."""
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_experiment", lambda cfg, **kw: cfg.validate())
+        mp.setattr(cli, "_print_metrics", lambda m: None)
+        path = Path(d) / "fuzz.ini"
+        path.write_text("[task]\n" + "".join(f"{k} = {v}\n" for k, v in pairs))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path), "--seed", "1"])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert str(path) in err.getvalue()
