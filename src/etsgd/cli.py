@@ -11,10 +11,11 @@ Every task setting is declared once, as a row of ``_SETTINGS``; its flag,
 its config-file key, its value check and its help default all come from it.
 
 A config file (--config) is INI-style; keys in any section use the long
-flag names without the leading dashes (e.g. "nodes = 5").  Command-line
-flags override config values, and --iters or --total-iters on the command
-line replaces either budget key of the file.  --seed must always be given
-explicitly.
+flag names without the leading dashes (e.g. "nodes = 5").  A key is set
+once in the whole file, and [DEFAULT] is a section like any other, whose
+keys no other section inherits.  Command-line flags override config
+values, and --iters or --total-iters on the command line replaces either
+budget key of the file.  --seed must always be given explicitly.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Callable, NamedTuple
 
-from .consistency import verify_round_delay
+from .consistency import ConsistencyError, verify_round_delay
 from .harness import (
     ExperimentConfig,
     Metrics,
@@ -162,7 +163,8 @@ def _parse(parse: Callable[[Any], Any], raw, where: str):
 
 def _read_config_file(path: str) -> dict:
     """Parsed settings from an INI file; every error names the file, and the line or key."""
-    parser = configparser.ConfigParser()
+    # no default section: [DEFAULT] is read like any other and lends its keys to none
+    parser = configparser.ConfigParser(default_section=None)
     try:
         parser.read_string(read_text(path), source=path)
         items = [(sec, *kv) for sec in parser.sections() for kv in parser.items(sec)]
@@ -175,9 +177,13 @@ def _read_config_file(path: str) -> dict:
         where = f":{exc.lineno}" if hasattr(exc, "lineno") else f": [{exc.section}] {exc.option}"
         raise ValueError(f"{path}{where}: {exc.message.rpartition(']: ')[2]}") from None
     settings: dict = {}
+    sections: dict = {}  # key -> the section that set it
     for section, key, raw in items:
         if key not in _SETTINGS:
             raise ValueError(f"{path}: [{section}] {key}: unknown config key")
+        if key in sections:
+            raise ValueError(f"{path}: [{section}] {key}: already set in [{sections[key]}]")
+        sections[key] = section
         row = _SETTINGS[key]
         settings[key] = _parse(row.parse, raw.split() if row.entry else raw,
                                f"{path}: [{section}] {key}: ")
@@ -245,6 +251,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _build_config(ns)
     kind = float if ns.axis == "threshold-coeff" else int
     values = [_parse(kind, v, "--values: ") for v in ns.values.split(",") if v]
+    if not values:
+        raise ValueError("--values: no values given")
     table = sweep(cfg, ns.axis, values)
     if ns.out:
         export_csv(table, ns.out)
@@ -282,7 +290,10 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
 
 def _cmd_validate_trace(ns: argparse.Namespace) -> int:
     trace = Trace.read(ns.trace)
-    report = verify_round_delay(trace, ns.d)
+    try:
+        report = verify_round_delay(trace, ns.d)
+    except ConsistencyError as exc:  # a trace that reads but cannot be replayed
+        raise ValueError(f"{ns.trace}: {exc}") from None
     if report.ok:
         print(f"{ns.trace}: {report.checked} steps checked, no violations at d={ns.d}")
         return EXIT_OK

@@ -19,6 +19,7 @@ handoffs.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -291,7 +292,7 @@ def run_experiment(
             collect(2)
 
     def round_hook(node, rnd, now):
-        if cfg.eval_every == 0 or (rnd + 1) % cfg.eval_every != 0:
+        if (rnd + 1) % cfg.eval_every != 0:
             return
         pending.append((node.node_id, rnd, node.t, node.w.copy()))
         if len(pending) == EVAL_BATCH:
@@ -308,7 +309,8 @@ def run_experiment(
 
         worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="etsgd-eval")
     try:
-        result = sim.run(round_hook)
+        # eval_every 0 disables the curves, so the engine gets no hook to call
+        result = sim.run(round_hook if cfg.eval_every else None)
         flush()
         collect(0)
     finally:
@@ -384,14 +386,19 @@ def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metric
     points = []
     for v in values:
         name = f"{cfg.name}[{axis}={v}]"
+        if axis != "threshold-coeff":
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise ConfigError(f"sweep axis {axis!r} takes integers, got {v!r}") from None
         if axis == "n":
-            points.append(replace(cfg, name=name, n=int(v)))
+            points.append(replace(cfg, name=name, n=v))
         elif axis == "d":
-            points.append(replace(cfg, name=name, max_lag=int(v)))
+            points.append(replace(cfg, name=name, max_lag=v))
         elif axis == "K":
-            points.append(replace(cfg, name=name, iterations=int(v), total_iterations=None))
+            points.append(replace(cfg, name=name, iterations=v, total_iterations=None))
         elif axis == "constant-s":
-            points.append(replace(cfg, name=name, sample_schedule=f"const:{int(v)}"))
+            points.append(replace(cfg, name=name, sample_schedule=f"const:{v}"))
         else:
             points.append(
                 replace(cfg, name=name, algorithm="threshold", threshold_coeff=float(v))

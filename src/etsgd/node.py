@@ -160,6 +160,7 @@ class ComputeNode:
         self.step_in_round = 0
         self.grad_sum = np.zeros(objective.dim)
         self.received = {int(e): 0 for e in neighbors}
+        self._dests = sorted(self.received)
         self.floor = min(self.received.values(), default=math.inf)
         self.rounds_total = len(self.budgets)
         self._samples = sample_draws(rng, self.indices, sum(self.budgets))
@@ -221,7 +222,7 @@ class ComputeNode:
         if step < budget:
             return rnd, step, False, []
         msg = Message(self.node_id, self.grad_sum, rnd)
-        outbox = [(dest, msg) for dest in sorted(self.received)]
+        outbox = [(dest, msg) for dest in self._dests]
         self.round_index += 1
         self.step_in_round = 0
         self.grad_sum = np.zeros(self.objective.dim)

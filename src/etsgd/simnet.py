@@ -16,12 +16,22 @@ overtaken by a later fast one.
 
 The engine steps anything that implements Driver; ComputeNode and the
 threshold baseline's ThresholdNode both do.
+
+Every event writes trace records, so the loop keeps their cost low.  A
+record is built with tuple.__new__(TraceRecord, fields), one C call in
+place of the NamedTuple constructor's Python frame.  Detail strings are
+made once per run, one per sender ("from=i") and one per outbox size
+("msgs=k"), and shared by every record that carries them.  run() binds
+heapq's functions as locals when it starts, but heapq itself must stay a
+module-level name looked up then: perfbench counts events by replacing
+simnet.heapq.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
@@ -50,7 +60,10 @@ class Driver(Protocol):
         """True when the node may step now; False parks it until a delivery."""
 
     def advance(self) -> tuple[int, int, bool, list[tuple[int, Message]]]:
-        """Take one step: (round, step, round_closed, [(neighbor, message), ...])."""
+        """Take one step: (round, step, round_closed, [(neighbor, message), ...]).
+
+        The outbox holds at most one message per neighbor.
+        """
 
     def on_receive(self, msg: Message) -> None:
         """Apply one delivered message."""
@@ -129,14 +142,27 @@ class Trace:
         last = 0.0
         for lineno, raw in enumerate(read_text(path, SimError).splitlines(), start=1):
             if raw.startswith("# nodes "):
+                if n is not None:
+                    raise SimError(f"{path}:{lineno}: nodes: a second '# nodes' header")
                 n = _number(path, lineno, "nodes", int, raw[len("# nodes "):].strip())
+                if n < 1:
+                    raise SimError(f"{path}:{lineno}: nodes: expected at least 1, got {n}")
+            elif not raw or raw.startswith("time,") or (
+                raw.startswith("#") and not raw.startswith("# edge ")
+            ):
+                continue
+            elif n is None:
+                raise SimError(f"{path}:{lineno}: nodes: the '# nodes' header must come first")
             elif raw.startswith("# edge "):
                 ends = raw.split()[2:]
                 if len(ends) != 2:
                     raise SimError(f"{path}:{lineno}: edge: expected two node ids, got {ends}")
-                edges.append(tuple(_number(path, lineno, "edge", int, e) for e in ends))
-            elif not raw or raw.startswith("#") or raw.startswith("time,"):
-                continue
+                u, v = (_number(path, lineno, "edge", int, e) for e in ends)
+                if not 0 <= u < v < n:
+                    raise SimError(
+                        f"{path}:{lineno}: edge: expected node ids u < v below {n}, got {u} {v}"
+                    )
+                edges.append((u, v))
             else:
                 parts = raw.split(",", 5)
                 if len(parts) != 6:
@@ -152,10 +178,15 @@ class Trace:
                         f"got {t!r}"
                     )
                 last = time
+                node_id = _number(path, lineno, "node", int, node)
+                if not 0 <= node_id < n:
+                    raise SimError(
+                        f"{path}:{lineno}: node: expected a node id below {n}, got {node!r}"
+                    )
                 records.append(
                     TraceRecord(
                         time,
-                        _number(path, lineno, "node", int, node),
+                        node_id,
                         kind,
                         _number(path, lineno, "round", int, rnd),
                         _number(path, lineno, "h", int, step) if step else -1,
@@ -230,69 +261,74 @@ class Simulation:
         self._ran = True
 
         n = self.topo.n
+        nodes = self.nodes
+        factors = [self._factors[i] for i in range(n)]
         heap: list[tuple] = []
-        seq = 0
+        # read from the module at each run: perfbench counts events by patching simnet.heapq
+        heappush, heappop = heapq.heappush, heapq.heappop
+        seq = count().__next__
         waiting = [False] * n
         finish = [0.0] * n
         sent = 0
         delivered = 0
         records: list[TraceRecord] = []
+        append = records.append
+        new = tuple.__new__
+        # every apply from one sender, and every round_end of one outbox size, shares one
+        # detail string; an outbox holds at most one message per neighbor
+        applied_from = [f"from={i}" for i in range(n)]
+        closed_with = [f"msgs={k}" for k in range(n)]
         now = 0.0
         compute_delay = uniform_draws(self._compute_rng, *self.delays.compute).__next__
         network_delay = uniform_draws(self._network_rng, *self.delays.network).__next__
 
-        def push(time, kind, node_id, msg=None):
-            nonlocal seq
-            heapq.heappush(heap, (time, seq, kind, node_id, msg))
-            seq += 1
-
-        def start_or_wait(node_id):
-            node = self.nodes[node_id]
+        def start_or_wait(node_id, node, now):
             if node.finished:
                 finish[node_id] = now
             elif node.check_sync():
                 if waiting[node_id]:
                     waiting[node_id] = False
-                    records.append(
-                        TraceRecord(now, node_id, "wait_exit", node.round_index, node.step_in_round, "")
-                    )
-                push(now + compute_delay() * self._factors[node_id], STEP_DONE, node_id)
+                    append(new(TraceRecord, (
+                        now, node_id, "wait_exit", node.round_index, node.step_in_round, ""
+                    )))
+                heappush(heap, (now + compute_delay() * factors[node_id], seq(), STEP_DONE,
+                                node_id, None))
             elif not waiting[node_id]:
                 waiting[node_id] = True
-                records.append(
-                    TraceRecord(now, node_id, "wait_enter", node.round_index, node.step_in_round, "")
-                )
+                append(new(TraceRecord, (
+                    now, node_id, "wait_enter", node.round_index, node.step_in_round, ""
+                )))
 
         for node_id in range(n):
-            start_or_wait(node_id)
+            start_or_wait(node_id, nodes[node_id], now)
 
         while heap:
-            now, _, kind, node_id, msg = heapq.heappop(heap)
-            node = self.nodes[node_id]
+            now, _, kind, node_id, msg = heappop(heap)
+            node = nodes[node_id]
 
             if kind == STEP_DONE:
                 rnd, step, completed, outbox = node.advance()
                 if step >= 1:
-                    records.append(TraceRecord(now, node_id, "grad", rnd, step, ""))
+                    append(new(TraceRecord, (now, node_id, "grad", rnd, step, "")))
                 if completed:
-                    records.append(
-                        TraceRecord(now, node_id, "round_end", rnd, step, f"msgs={len(outbox)}")
-                    )
+                    append(new(TraceRecord, (
+                        now, node_id, "round_end", rnd, step, closed_with[len(outbox)]
+                    )))
                     for dest, out in outbox:
-                        push(now + network_delay(), DELIVER, dest, out)
-                        sent += 1
+                        heappush(heap, (now + network_delay(), seq(), DELIVER, dest, out))
+                    sent += len(outbox)
                     if round_hook is not None:
                         round_hook(node, rnd, now)
-                start_or_wait(node_id)
+                start_or_wait(node_id, node, now)
 
             else:  # DELIVER
                 node.on_receive(msg)
                 delivered += 1
-                records.append(
-                    TraceRecord(now, node_id, "apply", msg.round_index, -1, f"from={msg.sender}")
-                )
+                append(new(TraceRecord, (
+                    now, node_id, "apply", msg.round_index, -1, applied_from[msg.sender]
+                )))
                 if waiting[node_id]:
-                    start_or_wait(node_id)
+                    start_or_wait(node_id, node, now)
 
         if sent != delivered:
             raise RuntimeError(f"message conservation broken: sent {sent}, delivered {delivered}")

@@ -1,5 +1,6 @@
 """Command-line interface: flag parsing, config files, subcommands, exit codes."""
 import contextlib
+import functools
 import io
 import tempfile
 from pathlib import Path
@@ -175,6 +176,22 @@ class TestConfigFile:
         ))
         assert run_cli(["run", "--config", path, "--seed", "2"]) == 0
 
+    def test_default_section_is_read(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "[DEFAULT]\nnodes = x\n")
+        assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+        assert f"error: {path}: [DEFAULT] nodes: expected int, got 'x'" in capsys.readouterr().err
+        path = self.write_config(tmp_path, "[DEFAULT]\nnodes = 4\n[task]\nd = 2\n")
+        cfg = cli._build_config(cli.build_parser().parse_args(["run", "--config", path,
+                                                                "--seed", "2"]))
+        assert (cfg.n, cfg.max_lag) == (4, 2)
+
+    def test_key_in_two_sections_rejected(self, tmp_path, capsys):
+        for body in ("[a]\nd = 2\n[b]\nd = 3\n", "[DEFAULT]\nd = 2\n[b]\nd = 2\n"):
+            path = self.write_config(tmp_path, body)
+            assert run_cli(["run", "--config", path, "--seed", "2"]) == 1
+            section = body[1:body.index("]")]
+            assert capsys.readouterr().err == f"error: {path}: [b] d: already set in [{section}]\n"
+
     def iters_column(self, csv):
         return {line.split(",")[3] for line in csv.read_text().splitlines()[1:]}
 
@@ -248,6 +265,13 @@ class TestSweep:
                         "--values", "0.5,1"]) == 0
         assert swept == [[1, 2], [0.5, 1.0]]
         assert [type(v) for v in swept[1]] == [float, float]
+
+    def test_empty_values_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", lambda cfg, axis, values: pytest.fail("swept"))
+        for values in ("", ",", ",,"):
+            argv = ["sweep", *QUAD, "--seed", "1", "--axis", "d", "--values", values]
+            assert run_cli(argv) == 1
+            assert capsys.readouterr().err == "error: --values: no values given\n"
 
 
 class TestCompare:
@@ -418,6 +442,57 @@ def test_fuzzed_config_files_exit_cleanly(pairs):
         with contextlib.redirect_stderr(err):
             code = cli.main(["run", "--config", str(path), "--seed", "1"])
     assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert str(path) in err.getvalue()
+
+
+@functools.cache
+def written_traces() -> tuple[bytes, ...]:
+    """Trace files of two small runs: a ring at d=1 and a line with a straggler at d=0."""
+    texts = []
+    with tempfile.TemporaryDirectory() as d:
+        for extra in ([], ["--topology", "line", "--d", "0", "--straggler", "0:3"]):
+            path = Path(d) / "run.trace"
+            argv = ["run", *QUAD, "--iters", "8", "--schedule", "const:2", "--seed", "4",
+                    "--trace", str(path), *extra]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(argv) == 0
+            texts.append(path.read_bytes())
+    return tuple(texts)
+
+
+# bytes that turn a trace's fields, separators and lines into truncated or malformed ones
+TRACE_BYTES = st.lists(st.sampled_from(list(b"0123456789.,-+e x#\nfrom=sgapylditn\xff\x00")),
+                       max_size=6).map(bytes)
+
+
+@st.composite
+def mutated_traces(draw):
+    data = draw(st.sampled_from(written_traces()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(TRACE_BYTES) + data[at + draw(st.integers(0, 8)):]
+    cut = draw(st.integers(0, len(data)))
+    # whole, cut anywhere, or cut after a line
+    return data[:draw(st.sampled_from([len(data), cut, data.rfind(b"\n", 0, cut) + 1]))]
+
+
+@settings(max_examples=300)
+@given(mutated_traces())
+def test_fuzzed_traces_exit_cleanly(data):
+    """Truncated and mutated traces through validate-trace: exit 0 or 3, or 1 naming the file.
+
+    Exit 3 is the verifier's verdict on a trace that reads but breaks the
+    bound, which a mutated round number can make.
+    """
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.trace"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate-trace", "--trace", str(path), "--d", "1"])
+    assert code in (0, 1, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert str(path) in err.getvalue()

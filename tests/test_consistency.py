@@ -21,6 +21,7 @@ from etsgd.rngs import SAMPLE_STREAM, stream
 from etsgd.schedules import Constant, Linear, round_plan
 from etsgd.simnet import DelayModel, Simulation, Trace, TraceRecord
 from etsgd.topology import complete, line, neighbors, ring
+from test_simnet import SCHEDULES, connected_topologies, drawn_run
 
 
 def run_ring(n=3, budgets=(10, 10, 10), max_lag=1, seed=0, delay=None, stragglers=None,
@@ -225,6 +226,53 @@ class TestInducedBound:
     def test_negative_lag_rejected(self):
         with pytest.raises(ConsistencyError):
             iteration_bound_from_round_lag(assignment_from_budgets([[1]]), -1)
+
+
+def reference_round_delay(trace, max_lag):
+    """verify_round_delay by full replay: every grad scans every neighbor's counter."""
+    topo = trace.topology()
+    nbrs = {i: neighbors(topo, i) for i in range(trace.n)}
+    h = {i: {e: 0 for e in nbrs[i]} for i in range(trace.n)}
+    violations, checked, applies = [], 0, 0
+    for rec in trace.records:
+        if rec.kind == "grad":
+            checked += 1
+            for e in nbrs[rec.node]:
+                lag = rec.round_index - h[rec.node][e]
+                if lag > max_lag:
+                    violations.append(Violation(
+                        rec.time, rec.node, rec.round_index, e, lag,
+                        f"step ran with neighbor {e} lagging {lag} rounds (cap {max_lag})",
+                    ))
+        elif rec.kind == "apply":
+            h[rec.node][int(rec.detail.partition("from=")[2])] += 1
+            applies += 1
+    return Report(not violations, checked, violations, {"applies": applies, "max_lag": max_lag})
+
+
+@given(
+    data=st.data(),
+    topo=connected_topologies(),
+    sched=SCHEDULES,
+    iterations=st.integers(1, 30),
+    max_lag=st.integers(0, 3),
+    factor=st.floats(1.0, 5.0),
+    lo=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**16),
+)
+def test_round_verifier_matches_reference(data, topo, sched, iterations, max_lag, factor, lo,
+                                          seed):
+    # runs drawn as test_engine_properties draws them
+    hi = data.draw(st.floats(lo, 20.0), label="network hi")
+    straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
+    budgets, _ = round_plan(sched, iterations)
+    trace = drawn_run(topo, budgets, max_lag, straggler, (lo, hi), seed)[0].trace
+    # bounds below the run's own d find the steps it took at lag d; at and above, none
+    for bound in range(max(max_lag - 2, 0), max_lag + 2):
+        got, expected = verify_round_delay(trace, bound), reference_round_delay(trace, bound)
+        assert (got.ok, got.checked, got.violations, got.info) == (
+            expected.ok, expected.checked, expected.violations, expected.info
+        )
 
 
 def reference_iteration_delay(trace, timeline, staleness):

@@ -262,6 +262,16 @@ class TestSweep:
         table = sweep(quad_config(iterations=20), "constant-s", [5, 10])
         assert [m.rounds_total for m in table] == [4, 2]
 
+    def test_integer_axes_reject_other_values(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: cfg)
+        for axis in ("n", "d", "K", "constant-s"):
+            for value in (1.5, 2.0, "3", None):
+                with pytest.raises(ConfigError, match=f"sweep axis {axis!r} takes integers, "
+                                                      f"got {value!r}"):
+                    sweep(quad_config(), axis, [1, value])
+        points = sweep(quad_config(), "d", [np.int64(2), 3])
+        assert [(p.name, p.max_lag) for p in points] == [("run[d=2]", 2), ("run[d=3]", 3)]
+
     def test_threshold_coeff_axis(self):
         table = sweep(quad_config(iterations=30), "threshold-coeff", [1.0, 0.2])
         assert all(m.config.algorithm == "threshold" for m in table)

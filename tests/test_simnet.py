@@ -297,6 +297,8 @@ class TestTraceIO:
             ("1.0,0,grad,1.5,1,", "round"),
             ("1.0,0,grad,0,h,", "h"),
             ("1.0,0,bogus,0,1,", "event"),
+            ("1.0,2,grad,0,1,", "node"),
+            ("1.0,-1,grad,0,1,", "node"),
         ],
     )
     def test_bad_field_names_line_and_field(self, tmp_path, line, field):
@@ -313,6 +315,13 @@ class TestTraceIO:
             ("# nodes x\n# edge 0 1\n", 1, "nodes"),
             ("# nodes 2\n# edge 0\n", 2, "edge"),
             ("# nodes 2\n# edge 0 y\n", 2, "edge"),
+            ("# nodes 0\n", 1, "nodes"),
+            ("# nodes 2\n# nodes 3\n", 2, "nodes"),
+            ("# edge 0 1\n# nodes 2\n", 1, "nodes"),
+            ("0.5,0,grad,0,1,\n# nodes 2\n", 1, "nodes"),
+            ("# nodes 2\n# edge 1 1\n", 2, "edge"),
+            ("# nodes 2\n# edge 1 0\n", 2, "edge"),
+            ("# nodes 2\n# edge 0 2\n", 2, "edge"),
         ],
     )
     def test_bad_header_names_line_and_field(self, tmp_path, text, line, field):
