@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .node import Assignment
-from .simnet import Trace
+from .simnet import APPLY, GRAD, Trace
 from .topology import neighbors
 
 
@@ -115,16 +115,15 @@ def verify_round_delay(trace: Trace, max_lag: int) -> Report:
         h.setdefault(v, {})[u] = 0
     floor = dict.fromkeys(h, 0)  # a node without neighbors has an infinite floor
     no_counts: dict[int, int] = {}
-    senders: dict[str, int] = {}
     violations: list[Violation] = []
     checked = 0
     applies = 0
 
-    for rec in trace.records:
-        kind = rec.kind
-        if kind == "grad":
+    for time, node, code, rnd, sender in zip(
+        trace.times, trace.nodes, trace.events, trace.rounds, trace.peers
+    ):
+        if code == GRAD:
             checked += 1
-            node, rnd = rec.node, rec.round_index
             if rnd - floor.get(node, math.inf) <= max_lag:
                 continue
             for e, count in h[node].items():
@@ -132,7 +131,7 @@ def verify_round_delay(trace: Trace, max_lag: int) -> Report:
                 if lag > max_lag:
                     violations.append(
                         Violation(
-                            rec.time,
+                            time,
                             node,
                             rnd,
                             e,
@@ -140,19 +139,16 @@ def verify_round_delay(trace: Trace, max_lag: int) -> Report:
                             f"step ran with neighbor {e} lagging {lag} rounds (cap {max_lag})",
                         )
                     )
-        elif kind == "apply":
-            sender = senders.get(rec.detail)
-            if sender is None:
-                sender = senders[rec.detail] = _sender_of(rec.detail)
-            counts = h.get(rec.node, no_counts)
+        elif code == APPLY:
+            counts = h.get(node, no_counts)
             count = counts.get(sender)
             if count is None:
                 raise ConsistencyError(
-                    f"trace applies a message from {sender} to non-neighbor {rec.node}"
+                    f"trace applies a message from {sender} to non-neighbor {node}"
                 )
             counts[sender] = count + 1
-            if count == floor[rec.node]:
-                floor[rec.node] = min(counts.values())
+            if count == floor[node]:
+                floor[node] = min(counts.values())
             applies += 1
 
     return Report(
@@ -196,40 +192,39 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
     checked = 0
     indirect_only = 0
 
-    for rec in trace.records:
-        if rec.kind == "apply":
-            sender = _sender_of(rec.detail)
-            if sender in applied[rec.node]:
-                applied[rec.node][sender].add(rec.round_index)
+    for time, node, code, rnd, step, sender in zip(*trace.columns):
+        if code == APPLY:
+            if sender in applied[node]:
+                applied[node][sender].add(rnd)
             continue
-        if rec.kind != "grad":
+        if code != GRAD:
             continue
         checked += 1
-        t = timeline.global_index(rec.node, rec.round_index, rec.step)
+        t = timeline.global_index(node, rnd, step)
         wlim = t - tau(t)
         if wlim <= 0:
             continue
         for peer in range(trace.n):
-            if peer == rec.node:
+            if peer == node:
                 continue
             firsts = timeline.round_starts[peer]
             cut = bisect_left(firsts, (wlim, -1))
-            if peer not in nbrs[rec.node]:
+            if peer not in nbrs[node]:
                 indirect_only += cut
                 continue
-            seen = applied[rec.node][peer]
-            done = prefix[rec.node][peer]
+            seen = applied[node][peer]
+            done = prefix[node][peer]
             while done < cut and firsts[done][1] in seen:
                 done += 1
-            prefix[rec.node][peer] = done
+            prefix[node][peer] = done
             for _, k in firsts[done:cut]:
                 if k in seen:
                     continue
                 violations.append(
                     Violation(
-                        rec.time,
-                        rec.node,
-                        rec.round_index,
+                        time,
+                        node,
+                        rnd,
                         peer,
                         t - wlim,
                         f"iteration {t} requires round {k} of neighbor {peer} "
@@ -264,12 +259,3 @@ def iteration_bound_from_round_lag(assignment: Assignment, max_lag: int) -> list
         bound.extend(float(start + j - anchor) for j in range(size))
     return bound
 
-
-def _sender_of(detail: str) -> int:
-    for part in detail.split():
-        if part.startswith("from="):
-            try:
-                return int(part[5:])
-            except ValueError:
-                break
-    raise ConsistencyError(f"apply record without sender: {detail!r}")

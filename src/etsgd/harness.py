@@ -190,6 +190,8 @@ def build_task(cfg: ExperimentConfig):
         return MeanQuadratic(cfg.dim), train, held
     train = load_idx(cfg.idx_images, cfg.idx_labels)
     classes = int(train.labels.max()) + 1
+    if classes < 2:
+        raise ConfigError(f"{cfg.idx_labels}: every label is 0, a classifier needs two classes")
     return Logistic(train.dim, classes, cfg.l2), train, train
 
 

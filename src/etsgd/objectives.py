@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -273,9 +274,14 @@ def iid_indices(n: int, m: int) -> list[np.ndarray]:
 
 def _read_bytes(path: str | Path) -> bytes:
     p = Path(path)
-    opener = gzip.open if p.suffix == ".gz" else open
-    with opener(p, "rb") as fh:
-        return fh.read()
+    if p.suffix != ".gz":
+        with open(p, "rb") as fh:
+            return fh.read()
+    try:
+        with gzip.open(p, "rb") as fh:
+            return fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise IdxError(f"{path}: not a valid gzip file: {exc}") from None
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
@@ -290,6 +296,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     magic, count, rows, cols = struct.unpack(">IIII", img[:16])
     if magic != IMAGES_MAGIC:
         raise BadMagicError(f"{images_path}: magic {magic:#010x} != {IMAGES_MAGIC:#010x}")
+    if count < 1 or rows * cols < 1:
+        raise IdxError(f"{images_path}: {count} images of {rows}x{cols} pixels hold no data")
     expected = count * rows * cols
     if len(img) - 16 != expected:
         raise TruncatedError(
@@ -305,7 +313,9 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     if len(lbl) - 8 != lcount:
         raise TruncatedError(f"{labels_path}: payload is {len(lbl) - 8} bytes, expected {lcount}")
     if lcount != count:
-        raise CountMismatchError(f"{count} images but {lcount} labels")
+        raise CountMismatchError(
+            f"{count} images in {images_path} but {lcount} labels in {labels_path}"
+        )
 
     features = np.frombuffer(img, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
     labels = np.frombuffer(lbl, dtype=np.uint8, offset=8).astype(np.int64)

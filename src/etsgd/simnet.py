@@ -17,12 +17,17 @@ overtaken by a later fast one.
 The engine steps anything that implements Driver; ComputeNode and the
 threshold baseline's ThresholdNode both do.
 
-Every event writes trace records, so the loop keeps their cost low.  A
-record is built with tuple.__new__(TraceRecord, fields), one C call in
-place of the NamedTuple constructor's Python frame.  Detail strings are
-made once per run, one per sender ("from=i") and one per outbox size
-("msgs=k"), and shared by every record that carries them.  run() binds
-heapq's functions as locals when it starts, but heapq itself must stay a
+Every event writes a trace record, so a Trace keeps its records as typed
+columns, one array per field, and the loop appends to them inline: about
+25 bytes per record in place of a tuple and its objects.  An event's kind
+is held as its index in EVENTS and its detail as an int peer: an apply's
+sender, a round_end's message count, -1 for the other events.
+Trace.records is a row view (TraceRecord tuples) built on each read, and
+Trace(n, edges, records) builds the columns from such rows.  Written, the
+detail is "from=<sender>" on an apply, "msgs=<count>" on a round_end and
+empty otherwise, each int a canonical decimal below n; Trace.read and
+Trace(n, edges, records) accept exactly these.  run() binds heapq's
+functions as locals when it starts, but heapq itself must stay a
 module-level name looked up then: perfbench counts events by replacing
 simnet.heapq.
 """
@@ -30,7 +35,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
@@ -42,8 +48,15 @@ from .topology import Topology, neighbors, read_text
 STEP_DONE = 0
 DELIVER = 1
 
-# every record kind the engine writes; Trace.read rejects any other
-EVENTS = frozenset(("grad", "round_end", "apply", "wait_enter", "wait_exit"))
+# every record kind the engine writes, indexed by the code a trace's events column holds;
+# Trace.read rejects any other
+EVENTS = ("grad", "round_end", "apply", "wait_enter", "wait_exit")
+GRAD, ROUND_END, APPLY, WAIT_ENTER, WAIT_EXIT = range(len(EVENTS))
+_CODES = {kind: code for code, kind in enumerate(EVENTS)}
+# the detail of a record is this prefix and its peer, or empty where the prefix is
+_PREFIX = ("", "msgs=", "from=", "", "")
+# the int columns are 32-bit
+_INT_RANGE = range(-2**31, 2**31)
 
 
 class Driver(Protocol):
@@ -104,7 +117,7 @@ class DelayModel:
 
 
 class TraceRecord(NamedTuple):
-    """One simulator observation; step < 0 means the column is not applicable."""
+    """One simulator observation as a row; step < 0 means the column is not applicable."""
 
     time: float
     node: int
@@ -114,13 +127,50 @@ class TraceRecord(NamedTuple):
     detail: str
 
 
-@dataclass
 class Trace:
-    """Recorded run: topology summary plus records in processing order."""
+    """Recorded run: topology summary plus records in processing order, as columns.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    records: list[TraceRecord] = field(default_factory=list)
+    The columns are parallel arrays: times (float64), then 32-bit nodes,
+    rounds, steps (-1 where not applicable) and peers, and events as bytes.
+    """
+
+    def __init__(self, n: int, edges, records=()):
+        self.n = n
+        self.edges = tuple(edges)
+        self.times = array("d")
+        self.nodes = array("i")
+        self.events = array("B")
+        self.rounds = array("i")
+        self.steps = array("i")
+        self.peers = array("i")
+        for i, (time, node, kind, rnd, step, detail) in enumerate(records):
+            code = _CODES.get(kind)
+            if code is None:
+                raise SimError(f"record {i}: event: unknown event {kind!r}")
+            try:
+                peer = _peer(code, detail, n)
+            except ValueError as exc:
+                raise SimError(f"record {i}: detail: {exc}") from None
+            for column, value in zip(self.columns, (time, node, code, rnd, step, peer)):
+                column.append(value)
+
+    @property
+    def columns(self) -> tuple[array, ...]:
+        return self.times, self.nodes, self.events, self.rounds, self.steps, self.peers
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.n, self.edges, self.columns) == (other.n, other.edges, other.columns)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The records as rows, built from the columns on each read."""
+        new = tuple.__new__
+        return [
+            new(TraceRecord, (time, node, EVENTS[code], rnd, step, _detail(code, peer)))
+            for time, node, code, rnd, step, peer in zip(*self.columns)
+        ]
 
     def topology(self) -> Topology:
         return Topology(self.n, frozenset(self.edges))
@@ -129,29 +179,34 @@ class Trace:
         lines = [f"# nodes {self.n}"]
         lines.extend(f"# edge {u} {v}" for u, v in sorted(self.edges))
         lines.append("time,node,event,round,h,detail")
-        for r in self.records:
-            step = str(r.step) if r.step >= 0 else ""
-            lines.append(f"{r.time!r},{r.node},{r.kind},{r.round_index},{step},{r.detail}")
+        lines.extend(
+            f"{time!r},{node},{EVENTS[code]},{rnd},{step if step >= 0 else ''},"
+            f"{_detail(code, peer)}"
+            for time, node, code, rnd, step, peer in zip(*self.columns)
+        )
         Path(path).write_text("\n".join(lines) + "\n")
 
     @staticmethod
     def read(path: str | Path) -> "Trace":
-        n = None
+        trace = None
         edges = []
-        records = []
+        # the peer of every detail string met so far, per event code
+        peers: list[dict[str, int]] = [{} for _ in EVENTS]
         last = 0.0
         for lineno, raw in enumerate(read_text(path, SimError).splitlines(), start=1):
             if raw.startswith("# nodes "):
-                if n is not None:
+                if trace is not None:
                     raise SimError(f"{path}:{lineno}: nodes: a second '# nodes' header")
                 n = _number(path, lineno, "nodes", int, raw[len("# nodes "):].strip())
                 if n < 1:
                     raise SimError(f"{path}:{lineno}: nodes: expected at least 1, got {n}")
+                trace = Trace(n, ())
+                at, an, ae, ar, ah, ap = (column.append for column in trace.columns)
             elif not raw or raw.startswith("time,") or (
                 raw.startswith("#") and not raw.startswith("# edge ")
             ):
                 continue
-            elif n is None:
+            elif trace is None:
                 raise SimError(f"{path}:{lineno}: nodes: the '# nodes' header must come first")
             elif raw.startswith("# edge "):
                 ends = raw.split()[2:]
@@ -168,9 +223,18 @@ class Trace:
                 if len(parts) != 6:
                     raise SimError(f"{path}:{lineno}: malformed trace line {raw!r}")
                 t, node, kind, rnd, step, detail = parts
-                if kind not in EVENTS:
+                code = _CODES.get(kind)
+                if code is None:
                     raise SimError(f"{path}:{lineno}: event: unknown event {kind!r}")
-                time = _number(path, lineno, "time", float, t)
+                try:
+                    time, node_id, rnd_i = float(t), int(node), int(rnd)
+                    step_i = int(step) if step else -1
+                except ValueError:  # name the first field that does not parse
+                    for field, convert, text in (
+                        ("time", float, t), ("node", int, node), ("round", int, rnd),
+                        ("h", int, step or "0"),
+                    ):
+                        _number(path, lineno, field, convert, text)
                 # virtual time starts at 0 and never goes back; NaN fails too
                 if not last <= time < math.inf:
                     raise SimError(
@@ -178,24 +242,61 @@ class Trace:
                         f"got {t!r}"
                     )
                 last = time
-                node_id = _number(path, lineno, "node", int, node)
                 if not 0 <= node_id < n:
                     raise SimError(
                         f"{path}:{lineno}: node: expected a node id below {n}, got {node!r}"
                     )
-                records.append(
-                    TraceRecord(
-                        time,
-                        node_id,
-                        kind,
-                        _number(path, lineno, "round", int, rnd),
-                        _number(path, lineno, "h", int, step) if step else -1,
-                        detail,
-                    )
-                )
-        if n is None:
+                peer = peers[code].get(detail)
+                if peer is None:
+                    try:
+                        peer = peers[code][detail] = _peer(code, detail, n)
+                    except ValueError as exc:
+                        raise SimError(f"{path}:{lineno}: detail: {exc}") from None
+                try:
+                    an(node_id)
+                    ar(rnd_i)
+                    ah(step_i)
+                    ap(peer)
+                except OverflowError:  # name the first field outside the 32-bit columns
+                    for field, value, text in (
+                        ("node", node_id, node), ("round", rnd_i, rnd), ("h", step_i, step),
+                        ("detail", peer, detail),
+                    ):
+                        if value not in _INT_RANGE:
+                            raise SimError(
+                                f"{path}:{lineno}: {field}: expected a 32-bit int, got {text!r}"
+                            ) from None
+                at(time)
+                ae(code)
+        if trace is None:
             raise SimError(f"{path}: missing '# nodes' header")
-        return Trace(n, tuple(edges), records)
+        trace.edges = tuple(edges)
+        return trace
+
+
+def _detail(code: int, peer: int) -> str:
+    prefix = _PREFIX[code]
+    return f"{prefix}{peer}" if prefix else ""
+
+
+def _peer(code: int, detail: str, n: int) -> int:
+    """The peer a detail string names: from=<node id> on an apply, msgs=<count> on a
+    round_end, -1 for the empty detail of the other events; ValueError otherwise."""
+    prefix = _PREFIX[code]
+    if not prefix:
+        if detail:
+            raise ValueError(f"expected no detail on a {EVENTS[code]}, got {detail!r}")
+        return -1
+    digits = detail[len(prefix):]
+    # one canonical decimal below n, as the engine writes it
+    if not (
+        detail.startswith(prefix) and digits.isdecimal() and str(int(digits)) == digits
+        and int(digits) < n
+    ):
+        raise ValueError(
+            f"expected {prefix}<int below {n}> on a {EVENTS[code]}, got {detail!r}"
+        )
+    return int(digits)
 
 
 def _number(path, lineno: int, field: str, convert, text: str):
@@ -271,13 +372,8 @@ class Simulation:
         finish = [0.0] * n
         sent = 0
         delivered = 0
-        records: list[TraceRecord] = []
-        append = records.append
-        new = tuple.__new__
-        # every apply from one sender, and every round_end of one outbox size, shares one
-        # detail string; an outbox holds at most one message per neighbor
-        applied_from = [f"from={i}" for i in range(n)]
-        closed_with = [f"msgs={k}" for k in range(n)]
+        trace = Trace(n, sorted(self.topo.edges))
+        at, an, ae, ar, ah, ap = (column.append for column in trace.columns)
         now = 0.0
         compute_delay = uniform_draws(self._compute_rng, *self.delays.compute).__next__
         network_delay = uniform_draws(self._network_rng, *self.delays.network).__next__
@@ -288,16 +384,22 @@ class Simulation:
             elif node.check_sync():
                 if waiting[node_id]:
                     waiting[node_id] = False
-                    append(new(TraceRecord, (
-                        now, node_id, "wait_exit", node.round_index, node.step_in_round, ""
-                    )))
+                    at(now)
+                    an(node_id)
+                    ae(WAIT_EXIT)
+                    ar(node.round_index)
+                    ah(node.step_in_round)
+                    ap(-1)
                 heappush(heap, (now + compute_delay() * factors[node_id], seq(), STEP_DONE,
                                 node_id, None))
             elif not waiting[node_id]:
                 waiting[node_id] = True
-                append(new(TraceRecord, (
-                    now, node_id, "wait_enter", node.round_index, node.step_in_round, ""
-                )))
+                at(now)
+                an(node_id)
+                ae(WAIT_ENTER)
+                ar(node.round_index)
+                ah(node.step_in_round)
+                ap(-1)
 
         for node_id in range(n):
             start_or_wait(node_id, nodes[node_id], now)
@@ -309,11 +411,19 @@ class Simulation:
             if kind == STEP_DONE:
                 rnd, step, completed, outbox = node.advance()
                 if step >= 1:
-                    append(new(TraceRecord, (now, node_id, "grad", rnd, step, "")))
+                    at(now)
+                    an(node_id)
+                    ae(GRAD)
+                    ar(rnd)
+                    ah(step)
+                    ap(-1)
                 if completed:
-                    append(new(TraceRecord, (
-                        now, node_id, "round_end", rnd, step, closed_with[len(outbox)]
-                    )))
+                    at(now)
+                    an(node_id)
+                    ae(ROUND_END)
+                    ar(rnd)
+                    ah(step)
+                    ap(len(outbox))
                     for dest, out in outbox:
                         heappush(heap, (now + network_delay(), seq(), DELIVER, dest, out))
                     sent += len(outbox)
@@ -324,9 +434,12 @@ class Simulation:
             else:  # DELIVER
                 node.on_receive(msg)
                 delivered += 1
-                append(new(TraceRecord, (
-                    now, node_id, "apply", msg.round_index, -1, applied_from[msg.sender]
-                )))
+                at(now)
+                an(node_id)
+                ae(APPLY)
+                ar(msg.round_index)
+                ah(-1)
+                ap(msg.sender)
                 if waiting[node_id]:
                     start_or_wait(node_id, node, now)
 
@@ -346,7 +459,6 @@ class Simulation:
         if blocked:
             raise DeadlockError(blocked)
 
-        trace = Trace(n, tuple(sorted(self.topo.edges)), records)
         return SimResult(
             trace=trace,
             duration_ms=now,

@@ -1,7 +1,9 @@
 """Command-line interface: flag parsing, config files, subcommands, exit codes."""
 import contextlib
 import functools
+import gzip
 import io
+import struct
 import tempfile
 from pathlib import Path
 
@@ -356,6 +358,41 @@ class TestDataTools:
         assert run_cli(["inspect-idx", "--path", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", [slice(None, -10), slice(None, 2)])
+    @pytest.mark.parametrize("header", [b"", b"\x1f\x8b\x09"])
+    def test_bad_gzip_names_file(self, tmp_path, capsys, cut, header):
+        # a truncated stream (cut) or a bad compression method (header) exits 1 naming the file
+        images, labels = (tmp_path / "x.idx.gz", tmp_path / "y.idx")
+        data = gzip.compress(written_idx_pair()[0], mtime=0)
+        images.write_bytes((header + data[len(header):])[cut])
+        labels.write_bytes(written_idx_pair()[1])
+        for argv in (
+            ["inspect-idx", "--path", str(images)],
+            ["run", "--objective", "idx", "--images", str(images), "--labels", str(labels),
+             "--nodes", "2", "--iters", "6", "--eval-every", "0", "--seed", "1"],
+        ):
+            assert run_cli(argv) == 1
+            assert f"error: {images}: not a valid gzip file: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "images, labels, named",
+        [
+            ((0, 1, 2, b""), (0, b""), "x.idx"),
+            ((3, 0, 2, b""), (3, b"\0\1\2"), "x.idx"),
+            ((3, 1, 2, bytes(6)), (2, b"\0\1"), "y.idx"),
+            ((3, 1, 2, bytes(6)), (3, b"\0\0\0"), "y.idx"),
+        ],
+    )
+    def test_unusable_idx_pair_names_file(self, tmp_path, capsys, images, labels, named):
+        # no images, no pixels, a count mismatch, a single class
+        img, lbl = tmp_path / "x.idx", tmp_path / "y.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, *images[:3]) + images[3])
+        lbl.write_bytes(struct.pack(">II", 0x801, labels[0]) + labels[1])
+        argv = ["run", "--objective", "idx", "--images", str(img), "--labels", str(lbl),
+                "--nodes", "2", "--iters", "6", "--eval-every", "0", "--seed", "1"]
+        assert run_cli(argv) == 1
+        assert f"{tmp_path / named}" in capsys.readouterr().err
+
     def test_idx_run_requires_paths(self, capsys):
         argv = ["run", "--objective", "idx", "--nodes", "2", "--iters", "20",
                 "--eval-every", "0", "--seed", "4"]
@@ -496,3 +533,92 @@ def test_fuzzed_traces_exit_cleanly(data):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert str(path) in err.getvalue()
+
+
+@functools.cache
+def written_idx_pair() -> tuple[bytes, bytes]:
+    """Images and labels of a 12-sample, 2-feature, 3-class IDX pair."""
+    with tempfile.TemporaryDirectory() as d:
+        img, lbl = Path(d) / "x.idx", Path(d) / "y.idx"
+        argv = ["gen-data", "--out-images", str(img), "--out-labels", str(lbl),
+                "--samples", "12", "--dim", "2", "--classes", "3", "--seed", "4"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(argv) == 0
+        return img.read_bytes(), lbl.read_bytes()
+
+
+# bytes that turn IDX headers, payloads and gzip streams into truncated or malformed ones
+IDX_BYTES = st.lists(st.sampled_from([0, 1, 2, 3, 8, 12, 0x1f, 0x8b, 0x7f, 0x80, 0xff]),
+                     max_size=6).map(bytes)
+
+
+def mutated(draw, data: bytes, alphabet) -> bytes:
+    """data with up to three spans replaced by drawn bytes, then cut anywhere or not at all."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(alphabet) + data[at + draw(st.integers(0, 8)):]
+    return data[:draw(st.sampled_from([len(data), draw(st.integers(0, len(data)))]))]
+
+
+@st.composite
+def mutated_idx_files(draw):
+    """(which of the pair, file name, bytes): plain, or gzipped with the stream itself mutated."""
+    which = draw(st.sampled_from([0, 1]))
+    data = mutated(draw, written_idx_pair()[which], IDX_BYTES)
+    if not draw(st.booleans()):
+        return which, "fuzz.idx", data
+    return which, "fuzz.idx.gz", mutated(draw, gzip.compress(data, mtime=0), IDX_BYTES)
+
+
+def exit_of(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_idx_files())
+def test_fuzzed_idx_files_exit_cleanly(drawn):
+    """Cut and mutated IDX files, plain and gzipped, through inspect-idx and an idx run.
+
+    Each exits 0, or 1 naming the file; never 2 or a traceback.
+    """
+    which, name, data = drawn
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / name
+        path.write_bytes(data)
+        pair = [Path(d) / "x.idx", Path(d) / "y.idx"]
+        pair[which] = path
+        for other, valid in zip(pair, written_idx_pair()):
+            if other != path:
+                other.write_bytes(valid)
+        for argv in (
+            ["inspect-idx", "--path", str(path)],
+            ["run", "--objective", "idx", "--images", str(pair[0]), "--labels", str(pair[1]),
+             "--nodes", "2", "--iters", "6", "--eval-every", "0", "--seed", "1"],
+        ):
+            code, err = exit_of(argv)
+            assert code in (0, 1), (argv[0], err)
+            assert "Traceback" not in err
+            if code == 1:
+                assert str(path) in err, (argv[0], err)
+
+
+EDGE_BYTES = st.lists(st.sampled_from(list(b"0123456789 #\n\t-+x.e\xff\x00")),
+                      max_size=6).map(bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_edge_lists_exit_cleanly(data):
+    """Cut and mutated edge lists through run --topology: exit 0, or 1 naming the file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.edges"
+        path.write_bytes(mutated(data.draw, b"# ring\n0 1\n1 2\n2 0\n", EDGE_BYTES))
+        code, err = exit_of(["run", *QUAD, "--seed", "1", "--iters", "6",
+                             "--topology", str(path)])
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert str(path) in err

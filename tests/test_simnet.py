@@ -1,5 +1,6 @@
 """Discrete-event engine: determinism, tracing, stragglers, failure modes."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +264,43 @@ def test_engine_properties(
     assert (back.n, back.edges, back.records) == (topo.n, result.trace.edges, records)
 
 
+@given(
+    data=st.data(),
+    topo=connected_topologies(),
+    sched=SCHEDULES,
+    iterations=st.integers(1, 30),
+    max_lag=st.integers(0, 3),
+    factor=st.floats(1.0, 5.0),
+    lo=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**16),
+)
+def test_trace_rebuilt_from_rows_is_equal(
+    tmp_path_factory, data, topo, sched, iterations, max_lag, factor, lo, seed
+):
+    # runs drawn as test_engine_properties draws them
+    hi = data.draw(st.floats(lo, 20.0), label="network hi")
+    straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
+    budgets, _ = round_plan(sched, iterations)
+    trace = drawn_run(topo, budgets, max_lag, straggler, (lo, hi), seed)[0].trace
+    rebuilt = Trace(trace.n, trace.edges, trace.records)
+    assert rebuilt.columns == trace.columns
+    assert rebuilt == trace
+    first, second = (tmp_path_factory.getbasetemp() / f"rows{i}.trace" for i in (1, 2))
+    trace.write(first)
+    rebuilt.write(second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_trace_columns_hold_at_most_32_bytes_per_record():
+    # one typed slot per field, not one object per record
+    nodes, topo = build_nodes(8, [1] * 200, max_lag=2, topo=complete(8))
+    trace = Simulation(nodes, topo, DelayModel(network=(0.1, 5.0)), seed=7).run().trace
+    records = len(trace.times)
+    assert records > 10_000
+    assert all(len(column) == records for column in trace.columns)
+    assert sum(sys.getsizeof(column) for column in trace.columns) <= 32 * records
+
+
 class TestTraceIO:
     def test_write_read_round_trip(self, tmp_path):
         nodes, topo = build_nodes(3, [3, 3])
@@ -283,6 +321,15 @@ class TestTraceIO:
         assert "0.5,1,apply,0,," in text
         assert Trace.read(path).records[0].step == -1
 
+    @pytest.mark.parametrize(
+        "row",
+        [(0.5, 1, "apply", 0, -1, "from=x"), (0.5, 1, "apply", 0, -1, "from=2"),
+         (0.5, 1, "grad", 0, 1, "msgs=1"), (0.5, 1, "bogus", 0, 1, "")],
+    )
+    def test_rows_with_bad_kind_or_detail_rejected(self, row):
+        with pytest.raises(SimError, match=r"^record 0: (event|detail): "):
+            Trace(2, ((0, 1),), [TraceRecord(*row)])
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("# nodes 2\n# edge 0 1\ntime,node,event,round,h,detail\n1.0,0,grad\n")
@@ -299,6 +346,10 @@ class TestTraceIO:
             ("1.0,0,bogus,0,1,", "event"),
             ("1.0,2,grad,0,1,", "node"),
             ("1.0,-1,grad,0,1,", "node"),
+            ("1.0,0,apply,0,,from=x", "detail"),
+            ("1.0,0,apply,0,,from=", "detail"),
+            ("1.0,0,round_end,0,1,msgs=y", "detail"),
+            ("1.0,0,grad,0,1,from=1", "detail"),
         ],
     )
     def test_bad_field_names_line_and_field(self, tmp_path, line, field):
