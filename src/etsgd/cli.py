@@ -289,6 +289,8 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
 
 
 def _cmd_validate_trace(ns: argparse.Namespace) -> int:
+    if ns.d < 0:  # before the trace is read, so the flag and not the file takes the blame
+        raise ValueError(f"--d: expected a non-negative int, got {ns.d}")
     trace = Trace.read(ns.trace)
     try:
         report = verify_round_delay(trace, ns.d)

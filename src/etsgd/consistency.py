@@ -7,6 +7,22 @@ the information each iteration may be missing is bounded by a staleness
 window.  Both checks replay a trace in its recorded processing order,
 which is the authoritative event order of the run.
 
+verify_round_delay reads the trace columns as numpy arrays and works on
+per-link apply positions.  A link is one (receiver, sender) pair of an
+edge, and its apply positions are the record positions of the applies on
+it, ascending; one sort of link * records + position groups them.  The
+receiver's counter for that sender just before record p is the number of
+the link's positions below p, one searchsorted.  A node's floor is its
+smallest counter, and its floor table holds, for each count k, the
+position at which the floor reached k: the largest k-th position over its
+links.  A step in round r can break the cap only if the entry for
+k = r - max_lag is not before it.  The contiguous-prefix rule of ROADMAP
+item 1 maps onto the same arrays: index a link's apply positions by the
+round each apply carries, and np.maximum.accumulate over them gives the
+position at which the link's applied prefix reached each length, which
+then replaces the k-th position in the floor table.  Applies and grads
+are read BLOCK records at a time, so the temporaries keep one size.
+
 TimelineMap is the bridge between the two views: it assigns every
 (node, round, step) a global iteration index and inverts that mapping.
 iteration_bound_from_round_lag converts a round-lag cap into the widest
@@ -19,10 +35,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from .node import Assignment
 from .simnet import APPLY, GRAD, Trace
 from .topology import neighbors
+
+
+# verify_round_delay reads the trace this many records at a time
+BLOCK = 1 << 10
+# node ids and apply senders are 32-bit; no (receiver, sender) code equals _NO_CODE
+_I32 = 2**31
+_NO_CODE = 2**63 - 1
 
 
 class ConsistencyError(ValueError):
@@ -97,66 +123,148 @@ class Report:
 def verify_round_delay(trace: Trace, max_lag: int) -> Report:
     """Check every recorded gradient step against the round-lag cap.
 
-    Replays apply records to reconstruct each node's per-neighbor
-    applied-round counters, then asserts at each grad that no neighbor's
-    counter trails the stepping node's round by more than max_lag.
-    Counters only grow, so a step that was admitted legally can never
-    appear violated later in the replay.  As ComputeNode.floor does, the
-    replay keeps each node's smallest counter, so a grad scans its
-    neighbors only when that floor trails by more than max_lag.
+    A node's counter for a neighbor is the number of that neighbor's
+    messages it applied before the step; a step in round k violates the cap
+    on each neighbor whose counter trails k by more than max_lag.  As
+    ComputeNode.floor does, a step scans its neighbors only when its node's
+    smallest counter trails, which the floor table (see the module
+    docstring) tells in one lookup.  Violations come in record order, and a
+    step's in ascending neighbor order.
     """
     if max_lag < 0:
         raise ConsistencyError(f"max_lag must be >= 0, got {max_lag}")
-    # counters of the nodes with an edge only, so the header's node count costs nothing;
-    # sorted edges insert each node's neighbors in ascending order
-    h: dict[int, dict[int, int]] = {}
-    for u, v in sorted(trace.topology().edges):
-        h.setdefault(u, {})[v] = 0
-        h.setdefault(v, {})[u] = 0
-    floor = dict.fromkeys(h, 0)  # a node without neighbors has an infinite floor
-    no_counts: dict[int, int] = {}
-    violations: list[Violation] = []
-    checked = 0
-    applies = 0
+    links = _Links(trace)
+    kinds = np.frombuffer(trace.events, np.uint8)
+    checked = int(np.count_nonzero(kinds == GRAD))
+    trailing: list[int] = []
+    # a step trails when its node's floor is below k = rnd - floor(max_lag); no step
+    # trails an infinite cap, nor a lag of 2**32 or more, which 32-bit rounds cannot hold
+    if links.receivers and math.isfinite(max_lag):
+        slack = min(math.floor(max_lag), 2 * _I32)
+        nodes = np.frombuffer(trace.nodes, np.intc)
+        rounds = np.frombuffer(trace.rounds, np.intc)
+        ids = np.array(links.receivers, np.intc)
+        for start in range(0, len(kinds), BLOCK):
+            (at,) = (kinds[start:start + BLOCK] == GRAD).nonzero()
+            at += start
+            node = nodes[at]
+            c = ids.searchsorted(node)
+            np.minimum(c, len(ids) - 1, out=c)
+            k = np.subtract(rounds[at], slack, dtype=np.int64)
+            np.maximum(k, 0, out=k)
+            np.minimum(k, links.top[c], out=k)
+            k += links.offset[c]
+            behind = links.floor_at[k] > at
+            behind &= ids[c] == node
+            trailing.extend(at[behind].tolist())
 
-    for time, node, code, rnd, sender in zip(
-        trace.times, trace.nodes, trace.events, trace.rounds, trace.peers
-    ):
-        if code == GRAD:
-            checked += 1
-            if rnd - floor.get(node, math.inf) <= max_lag:
-                continue
-            for e, count in h[node].items():
-                lag = rnd - count
-                if lag > max_lag:
-                    violations.append(
-                        Violation(
-                            time,
-                            node,
-                            rnd,
-                            e,
-                            lag,
-                            f"step ran with neighbor {e} lagging {lag} rounds (cap {max_lag})",
-                        )
+    violations: list[Violation] = []
+    for p in trailing:
+        time, node, rnd = trace.times[p], trace.nodes[p], trace.rounds[p]
+        for e, link in links.neighbors[node]:
+            lag = rnd - links.count(link, p)
+            if lag > max_lag:
+                violations.append(
+                    Violation(
+                        time,
+                        node,
+                        rnd,
+                        e,
+                        lag,
+                        f"step ran with neighbor {e} lagging {lag} rounds (cap {max_lag})",
                     )
-        elif code == APPLY:
-            counts = h.get(node, no_counts)
-            count = counts.get(sender)
-            if count is None:
-                raise ConsistencyError(
-                    f"trace applies a message from {sender} to non-neighbor {node}"
                 )
-            counts[sender] = count + 1
-            if count == floor[node]:
-                floor[node] = min(counts.values())
-            applies += 1
 
     return Report(
         ok=not violations,
         checked=checked,
         violations=violations,
-        info={"applies": applies, "max_lag": max_lag},
+        info={"applies": len(links.positions), "max_lag": max_lag},
     )
+
+
+class _Links:
+    """A trace's applies grouped per link, and each receiver's floor table.
+
+    A link is one (receiver, sender) pair of an edge.  neighbors[u] lists
+    u's (sender, link) pairs in ascending sender order.  Link j's apply
+    positions are positions[bounds[j]:bounds[j + 1]], ascending.  The node
+    columns are 32-bit, so only nodes below 2**31 receive or send: links
+    from larger senders are numbered after the others, and have no apply.
+
+    Receiver c = receivers.index(u) has the floor table
+    floor_at[offset[c]:offset[c] + top[c] + 1]: -1 for count 0, then the
+    position at which u's floor reached each count up to top[c] - 1, and
+    last the trace's length, a position past every record, for the count
+    its floor never reaches.
+    """
+
+    def __init__(self, trace: Trace):
+        size = len(trace.times)
+        edges = trace.topology().edges
+        pairs = {(u, v) for a, b in edges for u, v in ((a, b), (b, a)) if u < _I32}
+        named = sorted(p for p in pairs if p[1] < _I32)
+        self.neighbors: dict[int, list[tuple[int, int]]] = {}
+        for link, (u, v) in enumerate(named + sorted(pairs.difference(named))):
+            self.neighbors.setdefault(u, []).append((v, link))
+        self.receivers = sorted(self.neighbors)
+
+        # an apply's key is link * size + position, so one sort groups the applies by
+        # link and keeps each link's positions ascending; 32-bit where the keys fit
+        kinds = np.frombuffer(trace.events, np.uint8)
+        nodes = np.frombuffer(trace.nodes, np.intc)
+        peers = np.frombuffer(trace.peers, np.intc)
+        codes = np.array([u * _I32 + v for u, v in named] + [_NO_CODE], dtype=np.int64)
+        keys = np.empty(
+            np.count_nonzero(kinds == APPLY),
+            np.int32 if (len(named) + 1) * size < _I32 else np.int64,
+        )
+        filled = 0
+        for start in range(0, size, BLOCK):
+            (at,) = (kinds[start:start + BLOCK] == APPLY).nonzero()
+            at += start
+            code = np.multiply(nodes[at], _I32, dtype=np.int64)
+            code += peers[at]
+            link = codes.searchsorted(code)
+            alien = codes[link] != code
+            if alien.any():
+                p = int(at[alien.argmax()])
+                raise ConsistencyError(
+                    f"trace applies a message from {trace.peers[p]} "
+                    f"to non-neighbor {trace.nodes[p]}"
+                )
+            link *= size
+            link += at
+            keys[filled:filled + len(at)] = link
+            filled += len(at)
+        keys.sort()
+        starts = np.arange(len(named) + 1, dtype=keys.dtype) * size
+        self.bounds = np.searchsorted(keys, starts).tolist()
+        for link in range(len(named)):
+            keys[self.bounds[link]:self.bounds[link + 1]] -= link * size
+        self.positions = keys
+        self.bounds += [self.bounds[-1]] * (len(pairs) - len(named))
+
+        # u's floor reaches r, the fewest applies of its links, and each count k <= r at the
+        # latest of its links' k-th applies
+        reach = [
+            min(self.bounds[j + 1] - self.bounds[j] for _, j in self.neighbors[u])
+            for u in self.receivers
+        ]
+        offset = list(accumulate((r + 2 for r in reach), initial=0))
+        self.floor_at = floor_at = np.full(offset[-1], -1, keys.dtype)
+        for u, r, base in zip(self.receivers, reach, offset):
+            floor_at[base + r + 1] = size
+            reached = floor_at[base + 1:base + r + 1]
+            for _, j in self.neighbors[u]:
+                np.maximum(reached, keys[self.bounds[j]:self.bounds[j] + r], out=reached)
+        self.offset = np.array(offset[:-1], keys.dtype)
+        self.top = np.array(reach, keys.dtype) + 1
+
+    def count(self, link: int, position: int) -> int:
+        """How many of the link's applies come before the record at position."""
+        applied = self.positions[self.bounds[link]:self.bounds[link + 1]]
+        return int(np.searchsorted(applied, position))
 
 
 def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Report:

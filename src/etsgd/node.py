@@ -1,9 +1,11 @@
 """Compute-node state machine for scheduled gossip SGD.
 
 Each node runs rounds of local SGD steps, accumulates the round's gradient
-sum, and broadcasts that sum to its neighbors when the round's budget is
-spent.  A received sum is applied with the step size of the round it came
-from.  Before every local step the node checks how far its own round index
+sum, and broadcasts the round's update, that sum times the round's step
+size, to its neighbors when the round's budget is spent.  A received update
+is subtracted as it is; every node of a run shares the same step sizes, so
+this is the sum applied with the step size of the round it came from.
+Before every local step the node checks how far its own round index
 runs ahead of the rounds received from each neighbor; past the configured
 lag bound it must wait.
 
@@ -36,7 +38,11 @@ class AssignmentError(ValueError):
 
 @dataclass(frozen=True)
 class Message:
-    """Gradient sum broadcast at the end of a round.  Treated as immutable."""
+    """What a node broadcasts when it closes a round.  Treated as immutable.
+
+    From a ComputeNode the payload is the round's update, its gradient sum
+    times its step size; the threshold baseline sends its model instead.
+    """
 
     sender: int
     payload: np.ndarray
@@ -178,7 +184,7 @@ class ComputeNode:
         return self.round_index - self.floor <= self.max_lag
 
     def on_receive(self, msg: Message) -> None:
-        """Apply a neighbor's round gradient sum and bump its received counter."""
+        """Subtract a neighbor's round update and bump its received counter."""
         sender, rnd = msg.sender, msg.round_index
         count = self.received.get(sender)
         if count is None:
@@ -189,7 +195,7 @@ class ComputeNode:
                 f"node {self.node_id}: message from node {sender} for round {rnd}, "
                 f"outside its rounds 0..{len(self.etas) - 1}"
             )
-        self.w -= self.etas[rnd] * msg.payload
+        self.w -= msg.payload
         self.received[sender] = count + 1
         if count == self.floor:
             self.floor = min(self.received.values())
@@ -199,10 +205,11 @@ class ComputeNode:
 
         Returns (round_index, step_in_round, round_closed, outbox) for the
         step just taken.  When the step spends the round's budget, every
-        neighbor gets the round's gradient sum, handed over rather than
-        copied, and the next round starts on a fresh zero array, so later
-        steps cannot alter messages in flight.  A round with a zero budget
-        closes without a step, reported with step_in_round 0.
+        neighbor gets the round's update, computed once and shared by the
+        messages.  The update is an array of its own, so the next round
+        resets the gradient sum in place and later steps cannot alter
+        messages in flight.  A round with a zero budget closes without a
+        step, reported with step_in_round 0.
         """
         if self.finished:
             raise ProtocolError(f"node {self.node_id}: stepping after the final round")
@@ -221,9 +228,9 @@ class ComputeNode:
         step = self.step_in_round
         if step < budget:
             return rnd, step, False, []
-        msg = Message(self.node_id, self.grad_sum, rnd)
+        msg = Message(self.node_id, self.grad_sum * self.etas[rnd], rnd)
         outbox = [(dest, msg) for dest in self._dests]
         self.round_index += 1
         self.step_in_round = 0
-        self.grad_sum = np.zeros(self.objective.dim)
+        self.grad_sum.fill(0.0)
         return rnd, step, True, outbox

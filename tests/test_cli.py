@@ -324,6 +324,16 @@ class TestValidateTrace:
         assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
         assert f"error: {trace}:3: not UTF-8 text" in capsys.readouterr().err
 
+    def test_negative_bound_blames_the_flag(self, tmp_path, capsys):
+        trace = self.make_trace(tmp_path)
+        capsys.readouterr()
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --d: expected a non-negative int, got -1\n"
+        # the flag is checked first: a missing file is not even opened
+        assert run_cli(["validate-trace", "--trace", str(tmp_path / "no.trace"),
+                        "--d", "-1"]) == 1
+        assert "--d: expected a non-negative int" in capsys.readouterr().err
+
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli(["validate-trace", "--trace", str(tmp_path / "no.trace"),
                         "--d", "1"]) == 1

@@ -1,11 +1,14 @@
 """Timeline labeling and the two staleness verifiers."""
+import tracemalloc
 from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from etsgd import consistency
 from etsgd.consistency import (
     ConsistencyError,
     Report,
@@ -138,6 +141,26 @@ class TestRoundDelayVerifier:
         assert verify_round_delay(result.trace, 1).ok
         report = verify_round_delay(result.trace, 0)
         assert not report.ok
+
+    def test_fractional_and_infinite_caps_match_reference(self):
+        # a fractional cap admits the whole lags up to it, an infinite one every lag
+        result = run_ring(budgets=(10,) * 6, max_lag=float("inf"), stragglers={0: 5.0})
+        assert not verify_round_delay(result.trace, 1.5).ok
+        for bound in (0.5, 1.5, 2.99, float("inf")):
+            assert repr(verify_round_delay(result.trace, bound)) == repr(
+                reference_round_delay(result.trace, bound)
+            )
+
+    def test_neighbor_past_32_bits_counts_nothing(self):
+        # a 32-bit record cannot name node 2**31 + 5, so no apply from it is ever counted
+        far = 2**31 + 5
+        trace = Trace(2**32, ((0, 1), (0, far)), [
+            TraceRecord(1.0, 0, "apply", 0, -1, "from=1"),
+            TraceRecord(2.0, 0, "grad", 2, 1, ""),
+        ])
+        report = verify_round_delay(trace, 1)
+        assert [(v.node, v.peer, v.lag) for v in report.violations] == [(0, far, 2)]
+        assert (report.checked, report.info["applies"]) == (1, 1)
 
     def test_non_neighbor_apply_rejected(self):
         trace = Trace(3, ((0, 1), (1, 2)), [TraceRecord(1.0, 0, "apply", 0, -1, "from=2")])
@@ -273,6 +296,67 @@ def test_round_verifier_matches_reference(data, topo, sched, iterations, max_lag
         assert (got.ok, got.checked, got.violations, got.info) == (
             expected.ok, expected.checked, expected.violations, expected.info
         )
+        assert repr(got) == repr(expected)
+
+
+@given(
+    data=st.data(),
+    topo=connected_topologies(),
+    sched=SCHEDULES,
+    iterations=st.integers(1, 30),
+    max_lag=st.integers(0, 3),
+    factor=st.floats(1.0, 5.0),
+    lo=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**16),
+    block=st.integers(1, 64),
+)
+def test_round_verifier_reads_any_block_size(data, topo, sched, iterations, max_lag, factor, lo,
+                                             seed, block):
+    # runs drawn as test_engine_properties draws them, read a few records at a time
+    hi = data.draw(st.floats(lo, 20.0), label="network hi")
+    straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
+    budgets, _ = round_plan(sched, iterations)
+    trace = drawn_run(topo, budgets, max_lag, straggler, (lo, hi), seed)[0].trace
+    with mock.patch.object(consistency, "BLOCK", block):
+        for bound in range(max(max_lag - 2, 0), max_lag + 2):
+            got = verify_round_delay(trace, bound)
+            assert repr(got) == repr(reference_round_delay(trace, bound))
+
+
+def verifier_peak(trace, max_lag) -> int:
+    """Bytes verify_round_delay allocates at its peak, above what it was given."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verify_round_delay(trace, max_lag)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_round_verifier_peak_at_most_16_bytes_per_record():
+    # a complete graph, one step per round: two thirds of the records are applies
+    topo = complete(8)
+    result = run_ring(n=8, budgets=(1,) * 300, max_lag=2, seed=7, topo=topo,
+                      delay=DelayModel(network=(0.1, 5.0)), stragglers={0: 2.0})
+    records = len(result.trace.times)
+    assert records > 20_000
+    assert verify_round_delay(result.trace, 2).ok
+    assert verifier_peak(result.trace, 2) <= 16 * records
+
+
+def test_round_verifier_memory_ignores_the_node_count():
+    # nothing is sized by the '# nodes' header: 200000 nodes, one edge, far from node 0
+    u, v = 199_998, 199_999
+    trace = Trace(200_000, ((u, v),), [
+        TraceRecord(0.5, u, "grad", 0, 1, ""),
+        TraceRecord(1.0, u, "round_end", 0, 1, "msgs=1"),
+        TraceRecord(1.5, v, "apply", 0, -1, f"from={u}"),
+        TraceRecord(2.0, v, "grad", 3, 1, ""),
+    ])
+    report = verify_round_delay(trace, 1)
+    assert [(x.node, x.peer, x.lag) for x in report.violations] == [(v, u, 2)]
+    assert verifier_peak(trace, 1) < 64 * 1024
 
 
 def reference_iteration_delay(trace, timeline, staleness):

@@ -1,6 +1,8 @@
 """Node state machine and slot-assignment behavior."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from etsgd.node import (
     Assignment,
@@ -11,8 +13,12 @@ from etsgd.node import (
     assignment_from_budgets,
     setup,
 )
-from etsgd.objectives import Dataset, MeanQuadratic
-from etsgd.schedules import Constant, Linear
+from etsgd.objectives import Dataset, MeanQuadratic, gaussian_cloud
+from etsgd.rngs import SAMPLE_STREAM, stream
+from etsgd.schedules import Constant, Linear, round_plan
+from etsgd.simnet import DelayModel, Simulation
+from etsgd.topology import neighbors
+from test_simnet import SCHEDULES, connected_topologies
 
 
 def make_node(budgets=(2, 2), etas=None, neighbors=(1,), max_lag=1, dim=2,
@@ -93,17 +99,26 @@ class TestAssignment:
 
 class TestReceive:
     def test_applies_scaled_gradient_sum(self):
+        # the payload is the sender's update, already scaled: subtracted unchanged
         node = make_node(etas=[0.5, 0.5])
         node.w = np.array([1.0, 1.0])
         node.on_receive(Message(1, np.array([2.0, 4.0]), 0))
-        assert np.array_equal(node.w, [0.0, -1.0])
+        assert np.array_equal(node.w, [-1.0, -3.0])
         assert node.received[1] == 1
 
     def test_uses_rate_of_senders_round(self):
-        node = make_node(budgets=(1, 1), etas=[0.5, 0.1])
-        node.w = np.zeros(2)
-        node.on_receive(Message(1, np.array([1.0, 0.0]), 1))
-        assert np.array_equal(node.w, [-0.1, 0.0])
+        # the sender scales each round's sum by the step size of that round
+        data = Dataset(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        node = make_node(budgets=(1, 1), etas=[0.5, 0.1], data=data, seed=7)
+        rng = np.random.default_rng(7)
+        w = np.zeros(2)
+        for rnd, eta in enumerate((0.5, 0.1)):
+            g = w - data.features[int(rng.integers(3))]
+            w = w - eta * g
+            _, _, done, outbox = node.advance()
+            assert done
+            assert outbox[0][1].round_index == rnd
+            assert np.array_equal(outbox[0][1].payload, eta * g)
 
     def test_rejects_non_neighbor(self):
         node = make_node(neighbors=(1, 2))
@@ -166,19 +181,21 @@ class TestRounds:
 
     def test_round_gradient_sum_broadcast(self):
         data = Dataset(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        node = make_node(budgets=(3,), etas=[0.0], data=data, seed=7)
-        # zero step size freezes w at the origin, so each gradient is -x
-        expected = np.zeros(2)
+        node = make_node(budgets=(3,), etas=[0.25], data=data, seed=7)
+        # the same three steps by hand: the payload is the step size times the gradient sum
         rng = np.random.default_rng(7)
+        w, grad_sum = np.zeros(2), np.zeros(2)
         for _ in range(3):
-            expected -= data.features[int(rng.integers(3))]
+            g = w - data.features[int(rng.integers(3))]
+            w = w - 0.25 * g
+            grad_sum = grad_sum + g
         outbox = None
         while not node.finished:
             _, _, done, out = node.advance()
             if done:
                 outbox = out
         msg = outbox[0][1]
-        assert np.allclose(msg.payload, expected)
+        assert np.array_equal(msg.payload, 0.25 * grad_sum)
         assert msg.round_index == 0
         assert msg.sender == 0
 
@@ -242,3 +259,70 @@ class TestConstruction:
             a.advance()
             b.advance()
         assert np.array_equal(a.w, b.w)
+
+
+class ReferenceNode(ComputeNode):
+    """ComputeNode with the receiver-side multiply: a round's message carries its raw
+    gradient sum, and each receiver scales it by its own etas[rnd] on receipt."""
+
+    def on_receive(self, msg: Message) -> None:
+        count = self.received[msg.sender]
+        self.w -= self.etas[msg.round_index] * msg.payload
+        self.received[msg.sender] = count + 1
+        if count == self.floor:
+            self.floor = min(self.received.values())
+
+    def advance(self):
+        rnd = self.round_index
+        budget = self.budgets[rnd]
+        if budget:
+            g = self.objective.grad(self.w, self.data, next(self._samples))
+            self.w -= self.etas[rnd] * g
+            self.grad_sum += g
+            self.step_in_round += 1
+            self.t += 1
+        step = self.step_in_round
+        if step < budget:
+            return rnd, step, False, []
+        msg = Message(self.node_id, self.grad_sum, rnd)
+        outbox = [(dest, msg) for dest in self._dests]
+        self.round_index += 1
+        self.step_in_round = 0
+        self.grad_sum = np.zeros(self.objective.dim)
+        return rnd, step, True, outbox
+
+
+@given(
+    data=st.data(),
+    topo=connected_topologies(),
+    sched=SCHEDULES,
+    iterations=st.integers(1, 30),
+    max_lag=st.integers(0, 3),
+    factor=st.floats(1.0, 5.0),
+    lo=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**16),
+)
+def test_scaled_broadcast_matches_reference(data, topo, sched, iterations, max_lag, factor, lo,
+                                            seed):
+    # runs drawn as test_engine_properties draws them
+    hi = data.draw(st.floats(lo, 20.0), label="network hi")
+    straggler = (data.draw(st.integers(0, topo.n - 1), label="straggler"), factor)
+    budgets, _ = round_plan(sched, iterations)
+    # one step size per round, so an update scaled by another round's rate would show
+    etas = [0.05 / (1 + k) for k in range(len(budgets))]
+    ds = gaussian_cloud(42, 20, 2, (0.0, 0.0), 1.0)
+
+    def run(node_class):
+        nodes = [
+            node_class(i, MeanQuadratic(2), ds, np.arange(ds.m), budgets, etas,
+                       neighbors(topo, i), max_lag, stream(seed, SAMPLE_STREAM, i))
+            for i in range(topo.n)
+        ]
+        sim = Simulation(nodes, topo, DelayModel(network=(lo, hi)), seed)
+        sim.set_straggler(*straggler)
+        return sim.run().trace, b"".join(node.w.tobytes() for node in nodes)
+
+    trace, weights = run(ComputeNode)
+    reference_trace, reference_weights = run(ReferenceNode)
+    assert weights == reference_weights
+    assert trace == reference_trace
