@@ -131,7 +131,7 @@ def verify_round_delay(trace: Trace, max_lag: int) -> Report:
     docstring) tells in one lookup.  Violations come in record order, and a
     step's in ascending neighbor order.
     """
-    if max_lag < 0:
+    if not max_lag >= 0:
         raise ConsistencyError(f"max_lag must be >= 0, got {max_lag}")
     links = _Links(trace)
     kinds = np.frombuffer(trace.events, np.uint8)
@@ -357,7 +357,7 @@ def iteration_bound_from_round_lag(assignment: Assignment, max_lag: int) -> list
     therefore t minus the start of round max(round(t) - max_lag, 0).
     Index the returned list by global iteration.
     """
-    if max_lag < 0:
+    if not max_lag >= 0:
         raise ConsistencyError(f"max_lag must be >= 0, got {max_lag}")
     starts = assignment.starts
     sizes = assignment.round_sizes

@@ -109,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.objective == "idx" and not (self.idx_images and self.idx_labels):
             raise ConfigError("objective 'idx' needs idx_images and idx_labels paths")
-        if self.max_lag < 0:
+        if not self.max_lag >= 0:
             raise ConfigError(f"max_lag must be >= 0, got {self.max_lag}")
         if not 0 < self.threshold_coeff <= 1:
             raise ConfigError(f"threshold_coeff must be in (0, 1], got {self.threshold_coeff}")

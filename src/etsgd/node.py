@@ -149,7 +149,7 @@ class ComputeNode:
     ):
         if len(budgets) != len(etas):
             raise ProtocolError("budgets and etas must cover the same rounds")
-        if max_lag < 0:
+        if not max_lag >= 0:
             raise ProtocolError(f"max_lag must be >= 0, got {max_lag}")
         if len(indices) == 0:
             raise ProtocolError(f"node {node_id} has an empty sample pool")
@@ -211,13 +211,13 @@ class ComputeNode:
         messages in flight.  A round with a zero budget closes without a
         step, reported with step_in_round 0.
         """
-        if self.finished:
+        rnd = self.round_index
+        if rnd >= self.rounds_total:
             raise ProtocolError(f"node {self.node_id}: stepping after the final round")
-        if self.round_index - self.floor > self.max_lag:
+        if rnd - self.floor > self.max_lag:
             raise ProtocolError(
                 f"node {self.node_id}: stepping while {self.lag()} rounds ahead (bound {self.max_lag})"
             )
-        rnd = self.round_index
         budget = self.budgets[rnd]
         if budget:
             g = self.objective.grad(self.w, self.data, next(self._samples))

@@ -22,9 +22,6 @@ from .rngs import DATA_STREAM, stream
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
-# the bias input appended to every feature row in Logistic.grad
-_ONE = np.ones(1)
-
 # models per matrix product in Logistic.evaluate_many; 16 ten-class models
 # on 3000 samples make a 3.7 MiB product.  A model keeps the bits of its
 # one-model product only where the BLAS picks agreeing kernels for both
@@ -161,19 +158,34 @@ class Logistic:
         self.classes = classes
         self.l2 = l2
         self.dim = classes * (features_dim + 1)
+        self._w_shape = (self.dim,)
+        self._W_shape = (classes, features_dim + 1)
+        # grad's sample row with the bias input 1 after it
+        self._xt = np.ones(features_dim + 1)
 
     def grad(self, w: np.ndarray, ds: Dataset, idx: int) -> np.ndarray:
-        self._check(w, ds, idx)
-        x = ds.features[idx]
-        y = int(ds.labels[idx])
+        """The gradient at one sample, as a new array.
+
+        The sample row is copied into a buffer this object keeps, so grad
+        must not be called from two threads at once.
+        """
+        features, labels = ds.features, ds.labels
+        if not (
+            w.shape == self._w_shape and labels is not None
+            and features.shape[1] == self.features_dim and 0 <= idx < features.shape[0]
+        ):
+            self._check(w, ds, idx)
+        y = int(labels[idx])
         if y >= self.classes:
             raise ObjectiveError(f"label {y} out of range for {self.classes} classes")
-        W = w.reshape(self.classes, self.features_dim + 1)
-        xt = np.concatenate((x, _ONE))
-        z = W @ xt
-        # the ufunc reductions .max()/.sum() wrap, without the wrapper's cost
-        z -= np.maximum.reduce(z)
-        p = np.exp(z)
+        W = w.reshape(self._W_shape)
+        xt = self._xt
+        xt[:-1] = features[idx]
+        z = np.dot(W, xt)
+        # the max np.maximum.reduce gives, for less overhead; a NaN logit makes
+        # every p NaN either way
+        p = np.exp(z - max(z.tolist()))
+        # the ufunc reduction .sum() wraps, without the wrapper's cost
         p /= np.add.reduce(p)
         p[y] -= 1.0
         g = p[:, None] * xt

@@ -429,7 +429,12 @@ class Simulation:
                     sent += len(outbox)
                     if round_hook is not None:
                         round_hook(node, rnd, now)
-                start_or_wait(node_id, node, now)
+                # a node that just stepped is never waiting, so its usual case needs no call
+                if not node.finished and node.check_sync():
+                    heappush(heap, (now + compute_delay() * factors[node_id], seq(), STEP_DONE,
+                                    node_id, None))
+                else:
+                    start_or_wait(node_id, node, now)
 
             else:  # DELIVER
                 node.on_receive(msg)

@@ -171,6 +171,13 @@ class TestRoundDelayVerifier:
         with pytest.raises(ConsistencyError):
             verify_round_delay(Trace(1, (), []), -1)
 
+    def test_nan_bound_rejected(self):
+        # no lag exceeds NaN, so a NaN bound would pass this lag-2 grad as ok
+        trace = Trace(2, ((0, 1),), [TraceRecord(1.0, 0, "grad", 2, 1, "")])
+        assert not verify_round_delay(trace, 1).ok
+        with pytest.raises(ConsistencyError):
+            verify_round_delay(trace, float("nan"))
+
 
 class TestIterationDelayVerifier:
     def test_single_node_any_window(self):
@@ -249,6 +256,10 @@ class TestInducedBound:
     def test_negative_lag_rejected(self):
         with pytest.raises(ConsistencyError):
             iteration_bound_from_round_lag(assignment_from_budgets([[1]]), -1)
+
+    def test_nan_lag_rejected(self):
+        with pytest.raises(ConsistencyError):
+            iteration_bound_from_round_lag(assignment_from_budgets([[1]]), float("nan"))
 
 
 def reference_round_delay(trace, max_lag):

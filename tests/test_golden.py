@@ -1,4 +1,4 @@
-"""Golden digests: the bytes four small runs produce are pinned.
+"""Golden digests: the bytes five small runs produce are pinned.
 
 Each config's final weights, written trace and exported CSV are hashed
 with sha256 and compared against digests recorded from a known-good
@@ -36,6 +36,18 @@ def idx_logistic(tmp_path):
     )
 
 
+def idx_ten_classes(tmp_path):
+    # the class count of the 784-pixel IDX workload, past the 8 classes from
+    # which numpy sums the softmax normalizer pairwise; with an L2 term
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx(images, labels, synthetic_blobs(8, 200, 12, 10, 20.0))
+    return ExperimentConfig(
+        name="golden-idx10", topology="ring", n=4, objective="idx",
+        idx_images=str(images), idx_labels=str(labels), l2=0.01,
+        sample_schedule="linear:4,1,0", max_lag=1, iterations=120, eval_every=1, seed=5,
+    )
+
+
 def const1_complete(_tmp_path):
     return ExperimentConfig(
         name="golden-const1", topology="complete", n=4, objective="quadratic",
@@ -64,6 +76,11 @@ GOLDEN = {
         "0132ccfbf2e3eae529527a80198b3cf6c51385764edf54c2d0bd32ec60351da2",
         "e762a6f3f9d6d96e368f8ba6f3c4dc9173c0f9ae673413c97ac6731a134b1256",
         "459a5583e2205cb2ff1c374b8e01fe63205debb5550687382c32c26ab783c8c3",
+    ),
+    idx_ten_classes: (
+        "5c473e862e5ddd7bee1f74b1b0d3ff17d5367b340b03215730de93fa075ae7a9",
+        "2e15867a0973c60db18535c456bc59be92976def89cfa6005f4d406121ca54f6",
+        "c339cf6d74398228c5a34f9b32420b406bba027d7144f4bdbf5c11a8278b5f96",
     ),
     const1_complete: (
         "898c5d06aabf64efd630b0e5198524f8cd618d53f0fdc3c27818185054fe241b",

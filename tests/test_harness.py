@@ -62,6 +62,7 @@ class TestConfigValidation:
             {"eval_samples": 0},
             {"stragglers": {5: 2.0}},
             {"stragglers": {0: 0.5}},
+            {"max_lag": float("nan")},
         ],
     )
     def test_rejected_configs(self, overrides):

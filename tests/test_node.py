@@ -242,6 +242,11 @@ class TestConstruction:
         with pytest.raises(ProtocolError):
             make_node(max_lag=-1)
 
+    def test_nan_lag_bound(self):
+        # no lag exceeds NaN, so the gate would never hold the node back
+        with pytest.raises(ProtocolError):
+            make_node(max_lag=float("nan"))
+
     def test_initial_model_copied(self):
         w0 = np.array([1.0, 2.0])
         node = make_node()

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from etsgd.objectives import (
     EVAL_BATCH,
@@ -29,6 +32,22 @@ from etsgd.objectives import (
 def one_sample(ds: Dataset, idx: int) -> Dataset:
     labels = None if ds.labels is None else ds.labels[idx:idx + 1]
     return Dataset(ds.features[idx:idx + 1], labels)
+
+
+def reference_grad(obj: Logistic, w, ds: Dataset, idx: int) -> np.ndarray:
+    """Logistic.grad in its plain formulation: a fresh bias-augmented row by
+    np.concatenate, the logits by @, and the max by np.maximum.reduce."""
+    W = w.reshape(obj.classes, obj.features_dim + 1)
+    xt = np.concatenate((ds.features[idx], np.ones(1)))
+    z = W @ xt
+    z -= np.maximum.reduce(z)
+    p = np.exp(z)
+    p /= np.add.reduce(p)
+    p[int(ds.labels[idx])] -= 1.0
+    g = p[:, None] * xt
+    if obj.l2:
+        g = g + obj.l2 * W
+    return g.ravel()
 
 
 class TestDataset:
@@ -171,6 +190,43 @@ class TestLogistic:
         ds = Dataset(np.zeros((1, 2)), np.array([5]))
         with pytest.raises(ObjectiveError):
             obj.grad(np.zeros(6), ds, 0)
+
+    @pytest.mark.parametrize(
+        "w, ds, idx",
+        [
+            (np.zeros(7), Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int)), 0),
+            (np.zeros((2, 3)), Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int)), 0),
+            (np.zeros(6), Dataset(np.zeros((3, 3)), np.zeros(3, dtype=int)), 0),
+            (np.zeros(6), Dataset(np.zeros((3, 2))), 0),
+            (np.zeros(6), Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int)), -1),
+            (np.zeros(6), Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int)), 3),
+        ],
+        ids=["w-length", "w-matrix", "dataset-dim", "unlabeled", "idx-1", "idx-m"],
+    )
+    def test_grad_rejects_bad_input(self, w, ds, idx):
+        with pytest.raises(ObjectiveError):
+            Logistic(2, 2).grad(w, ds, idx)
+
+    @given(st.data())
+    def test_grad_matches_plain_formulation(self, data):
+        # 2 to 12 classes crosses the 8 terms from which np.add.reduce sums pairwise
+        features_dim = data.draw(st.integers(1, 40), label="features_dim")
+        classes = data.draw(st.integers(2, 12), label="classes")
+        obj = Logistic(features_dim, classes, data.draw(st.sampled_from([0.0, 0.05])))
+        m = data.draw(st.integers(1, 4), label="m")
+        features = data.draw(arrays(np.float64, (m, features_dim), elements=st.floats(-1, 1)))
+        labels = data.draw(arrays(np.int64, m, elements=st.integers(0, classes - 1)))
+        ds = Dataset(features, labels)
+        # every logit within +-50
+        bound = 50.0 / (features_dim + 1)
+        w = data.draw(arrays(np.float64, obj.dim, elements=st.floats(-bound, bound)))
+        idx = data.draw(st.integers(0, m - 1), label="idx")
+        g = obj.grad(w, ds, idx)
+        assert np.array_equal(g, reference_grad(obj, w, ds, idx))
+        assert not np.shares_memory(g, obj._xt)
+        kept = g.copy()
+        obj.grad(-w, ds, m - 1 - idx)
+        assert np.array_equal(g, kept)
 
     def test_bad_construction(self):
         with pytest.raises(ObjectiveError):
