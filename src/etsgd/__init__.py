@@ -8,7 +8,7 @@ latencies drives the nodes, records a full trace, and the consistency
 tools verify the staleness contracts that recorded runs must satisfy.
 """
 
-from .baselines import ThresholdNode, default_threshold_schedules, serial_sgd
+from .baselines import ThresholdNode, default_threshold_schedules
 from .consistency import (
     Report,
     TimelineMap,
@@ -44,7 +44,6 @@ from .schedules import (
     round_plan,
     sample_size,
     step_size,
-    tau,
 )
 from .simnet import DelayModel, SimResult, Simulation, Trace
 from .topology import Topology, complete, from_edges, line, neighbors, ring
@@ -88,12 +87,10 @@ __all__ = [
     "round_plan",
     "run_experiment",
     "sample_size",
-    "serial_sgd",
     "setup",
     "step_size",
     "sweep",
     "synthetic_blobs",
-    "tau",
     "verify_iteration_delay",
     "verify_round_delay",
     "write_idx",

@@ -1,8 +1,5 @@
-"""Reference training loops to compare the scheduled protocol against.
+"""The drift-threshold gossip baseline to compare the scheduled protocol against.
 
-Two baselines live here.  serial_sgd is the single-worker loop; with a
-sample schedule supplied it reproduces a one-node simulated run bit for
-bit, which pins the distributed semantics to something auditable.
 ThresholdNode is a norm-triggered gossip worker: it mixes neighbor models
 into every step and broadcasts its full model whenever the drift since
 the last broadcast crosses a step-size-scaled threshold.  It drives the
@@ -14,56 +11,8 @@ import numpy as np
 
 from .node import Message, ProtocolError
 from .objectives import Dataset
-from .rngs import SAMPLE_STREAM, sample_draws, stream
-from .schedules import (
-    DampedInverseTime,
-    InverseTime,
-    SampleSchedule,
-    StepSchedule,
-    round_plan,
-    step_size,
-)
-
-
-def serial_sgd(
-    objective,
-    data: Dataset,
-    total_iterations: int,
-    step_sched: StepSchedule,
-    seed: int,
-    *,
-    sample_sched: SampleSchedule | None = None,
-    w0: np.ndarray | None = None,
-    loss_every: int = 0,
-) -> tuple[np.ndarray, list[tuple[int, float]]]:
-    """Run plain sequential SGD and return (weights, sampled loss curve).
-
-    Samples are drawn from the same stream a node with id 0 would use, and
-    when sample_sched is given the step size is held constant within each
-    round exactly as the distributed protocol does, so a one-node simulation
-    with matching settings produces identical weights.
-    """
-    if total_iterations < 0:
-        raise ValueError(f"total_iterations must be >= 0, got {total_iterations}")
-    rng = stream(seed, SAMPLE_STREAM, 0)
-    w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
-    if sample_sched is not None:
-        etas = []
-        for size, start in zip(*round_plan(sample_sched, total_iterations)):
-            etas.extend([step_size(step_sched, start)] * size)
-    else:
-        etas = [step_size(step_sched, t) for t in range(total_iterations)]
-
-    m = data.m
-    curve: list[tuple[int, float]] = []
-    for t in range(total_iterations):
-        if loss_every and t % loss_every == 0:
-            curve.append((t, objective.loss(w, data)))
-        idx = int(rng.integers(m))
-        w = w - etas[t] * objective.grad(w, data, idx)
-    if loss_every:
-        curve.append((total_iterations, objective.loss(w, data)))
-    return w, curve
+from .rngs import sample_draws
+from .schedules import DampedInverseTime, InverseTime, StepSchedule, step_size
 
 
 class ThresholdNode:
@@ -75,8 +24,9 @@ class ThresholdNode:
     step_size(t) * coeff * dim triggers a broadcast of the full model.
     round_index counts broadcasts, step_in_round the steps since the last
     one.  The engine drives it as a simnet.Driver, like ComputeNode.  The
-    gate's step_size(t + 1) is kept as the next step's alpha, and sample
-    indices come from rng in blocks (rngs.sample_draws) that give the
+    model starts at zero.  The gate's step_size(t + 1) is kept as the next
+    step's alpha, and each step samples uniformly from the whole dataset,
+    with indices drawn from rng in blocks (rngs.sample_draws) that give the
     values one draw per step would give.
     """
 
@@ -85,14 +35,12 @@ class ThresholdNode:
         node_id: int,
         objective,
         data: Dataset,
-        indices: np.ndarray,
         total_steps: int,
         step_sched: StepSchedule,
         mix_sched: StepSchedule,
         neighbor_ids,
         rng: np.random.Generator,
         coeff: float = 0.2,
-        w0: np.ndarray | None = None,
     ):
         if total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {total_steps}")
@@ -101,20 +49,18 @@ class ThresholdNode:
         self.node_id = node_id
         self.objective = objective
         self.data = data
-        self.indices = np.asarray(indices, dtype=np.int64)
         self.total_steps = total_steps
         self.step_sched = step_sched
         self.mix_sched = mix_sched
         self.coeff = coeff
-        self.w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
+        self.w = np.zeros(objective.dim)
         self.last_sent = self.w.copy()
         self.neighbor_models = {int(e): self.w.copy() for e in neighbor_ids}
         self.t = 0
         self.round_index = 0
         self.step_in_round = 0
-        self.broadcasts = 0
         self._alpha = step_size(step_sched, 0)
-        self._samples = sample_draws(rng, self.indices, total_steps)
+        self._samples = sample_draws(rng, data.m, total_steps)
 
     @property
     def finished(self) -> bool:
@@ -158,12 +104,11 @@ class ThresholdNode:
             self.last_sent = self.w.copy()
             out = Message(self.node_id, self.last_sent, self.round_index)
             outbox = [(dest, out) for dest in sorted(self.neighbor_models)]
-            self.broadcasts += 1
             self.round_index += 1
             self.step_in_round = 0
         return rnd, step, fired, outbox
 
 
-def default_threshold_schedules(eta0: float = 0.01, mix0: float = 0.01, epsilon: float = 1e-5):
+def default_threshold_schedules():
     """Step and mixing schedules the threshold baseline was tuned with."""
-    return InverseTime(eta0, epsilon), DampedInverseTime(mix0, epsilon)
+    return InverseTime(0.01, 1e-5), DampedInverseTime(0.01, 1e-5)

@@ -32,11 +32,9 @@ from .node import ComputeNode, assignment_from_budgets
 from .objectives import (
     EVAL_BATCH,
     EVAL_THREAD_MIN,
-    Dataset,
     Logistic,
     MeanQuadratic,
     gaussian_cloud,
-    iid_indices,
     load_idx,
     synthetic_blobs,
 )
@@ -120,8 +118,9 @@ class ExperimentConfig:
         for node, factor in self.stragglers.items():
             if not (0 <= node < self.n):
                 raise ConfigError(f"straggler node {node} out of range for n={self.n}")
-            if factor < 1:
-                raise ConfigError(f"straggler factor must be >= 1, got {factor}")
+            if not 1 <= factor < math.inf:  # NaN fails too
+                raise ConfigError(f"straggler factor must be a finite number >= 1, got {factor}")
+        DelayModel(self.compute_range, self.network_range)
         parse_sample_schedule(self.sample_schedule)
         parse_step_schedule(self.step_schedule)
 
@@ -223,7 +222,6 @@ def run_experiment(
     cfg.validate()
     topo = build_topology(cfg)
     objective, train, held = build_task(cfg)
-    parts = iid_indices(cfg.n, train.m)
     k = cfg.per_node_iterations
 
     if cfg.algorithm == "scheduled":
@@ -234,7 +232,6 @@ def run_experiment(
                 i,
                 objective,
                 train,
-                parts[i],
                 budgets,
                 etas,
                 neighbors(topo, i),
@@ -250,7 +247,6 @@ def run_experiment(
                 i,
                 objective,
                 train,
-                parts[i],
                 k,
                 alpha,
                 beta,

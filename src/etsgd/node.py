@@ -13,7 +13,8 @@ The slot assignment lives here too: it names the node that runs each
 step slot of each round, which is the global iteration labeling the
 consistency checks use.  assignment_from_budgets lays out the per-node
 round budgets of a harness run; setup draws the paper's randomized
-assignment, in which node c wins each slot with probability p[c].
+assignment, in which node c wins each slot with probability p[c], for
+round sizes that schedules.round_plan gives.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from itertools import accumulate
 import numpy as np
 
 from .rngs import SETUP_STREAM, sample_draws, stream
-from .schedules import SampleSchedule, sample_size
 
 
 class ProtocolError(RuntimeError):
@@ -78,12 +78,10 @@ class Assignment:
         return self.slots[round_index].count(node)
 
 
-def setup(n: int, sched: SampleSchedule, p, seed: int, rounds: int) -> Assignment:
-    """Draw the per-round slot owners; node c wins each slot with probability p[c]."""
+def setup(n: int, sizes, p, seed: int) -> Assignment:
+    """Draw the owners of rounds of the given sizes; node c wins each slot with probability p[c]."""
     if n < 1:
         raise AssignmentError(f"need n >= 1, got {n}")
-    if rounds < 0:
-        raise AssignmentError(f"need rounds >= 0, got {rounds}")
     probs = np.asarray(p, dtype=float)
     if probs.shape != (n,):
         raise AssignmentError(f"probability vector must have length {n}, got shape {probs.shape}")
@@ -91,8 +89,7 @@ def setup(n: int, sched: SampleSchedule, p, seed: int, rounds: int) -> Assignmen
         raise AssignmentError("probabilities must be non-negative and sum to 1")
     rng = stream(seed, SETUP_STREAM)
     slots = tuple(
-        tuple(int(c) for c in rng.choice(n, size=sample_size(sched, i), p=probs))
-        for i in range(rounds)
+        tuple(int(c) for c in rng.choice(n, size=size, p=probs)) for size in sizes
     )
     return Assignment(n, slots)
 
@@ -130,8 +127,10 @@ class ComputeNode:
     the current round, and one received-round counter per neighbor.  t
     counts the local steps taken over all rounds.  floor is the smallest
     received counter (infinite without neighbors); on_receive keeps it, so
-    the lag gate is one compare.  Sample indices come from rng in blocks
-    (rngs.sample_draws) that give the values one draw per step would give.
+    the lag gate is one compare.  The model starts at zero.  Each step
+    samples uniformly from the whole dataset, with indices drawn from rng
+    in blocks (rngs.sample_draws) that give the values one draw per step
+    would give.
     """
 
     def __init__(
@@ -139,28 +138,23 @@ class ComputeNode:
         node_id: int,
         objective,
         data,
-        indices: np.ndarray,
         budgets,
         etas,
         neighbors,
         max_lag: float,
         rng: np.random.Generator,
-        w0: np.ndarray | None = None,
     ):
         if len(budgets) != len(etas):
             raise ProtocolError("budgets and etas must cover the same rounds")
         if not max_lag >= 0:
             raise ProtocolError(f"max_lag must be >= 0, got {max_lag}")
-        if len(indices) == 0:
-            raise ProtocolError(f"node {node_id} has an empty sample pool")
         self.node_id = node_id
         self.objective = objective
         self.data = data
-        self.indices = np.asarray(indices)
         self.budgets = list(budgets)
         self.etas = list(etas)
         self.max_lag = max_lag
-        self.w = np.zeros(objective.dim) if w0 is None else np.array(w0, dtype=float)
+        self.w = np.zeros(objective.dim)
         self.t = 0
         self.round_index = 0
         self.step_in_round = 0
@@ -169,15 +163,11 @@ class ComputeNode:
         self._dests = sorted(self.received)
         self.floor = min(self.received.values(), default=math.inf)
         self.rounds_total = len(self.budgets)
-        self._samples = sample_draws(rng, self.indices, sum(self.budgets))
+        self._samples = sample_draws(rng, data.m, sum(self.budgets))
 
     @property
     def finished(self) -> bool:
         return self.round_index >= self.rounds_total
-
-    def lag(self) -> int:
-        """How many rounds this node runs ahead of its slowest neighbor."""
-        return self.round_index - self.floor if self.received else 0
 
     def check_sync(self) -> bool:
         """True when the node may take a step now; False means wait for messages."""
@@ -216,7 +206,8 @@ class ComputeNode:
             raise ProtocolError(f"node {self.node_id}: stepping after the final round")
         if rnd - self.floor > self.max_lag:
             raise ProtocolError(
-                f"node {self.node_id}: stepping while {self.lag()} rounds ahead (bound {self.max_lag})"
+                f"node {self.node_id}: stepping while {rnd - self.floor} rounds ahead "
+                f"(bound {self.max_lag})"
             )
         budget = self.budgets[rnd]
         if budget:

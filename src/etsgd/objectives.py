@@ -4,7 +4,9 @@ Two objective kinds are provided.  MeanQuadratic is the analytic sanity
 check: its minimizer is the dataset mean, so simulator output can be
 compared against a closed form.  Logistic is multinomial softmax
 regression with an optional L2 term, enough to train on image data or on
-synthetic Gaussian blobs.
+synthetic Gaussian blobs.  Both share one surface: grad(w, ds, idx) at one
+sample, and evaluate_many(ws, ds), one (loss, accuracy) pair per model
+over a whole dataset.
 """
 from __future__ import annotations
 
@@ -92,9 +94,8 @@ class Dataset:
 class MeanQuadratic:
     """f(w; x) = 0.5*||w - x||^2, averaged over the dataset; minimized by the mean.
 
-    evaluate(w, ds) returns (loss, None): accuracy is undefined for a
-    quadratic target, and accuracy() raises.  evaluate_many(ws, ds) gives
-    the same pair for each model in a list.
+    evaluate_many(ws, ds) returns (loss, None) for each model in a list:
+    accuracy is undefined for a quadratic target.
     """
 
     def __init__(self, dim: int):
@@ -106,9 +107,6 @@ class MeanQuadratic:
         self._check(w, ds, idx)
         return w - ds.features[idx]
 
-    def evaluate(self, w: np.ndarray, ds: Dataset) -> tuple[float, None]:
-        return self.evaluate_many([w], ds)[0]
-
     def evaluate_many(self, ws: list[np.ndarray], ds: Dataset) -> list[tuple[float, None]]:
         out = []
         for w in ws:
@@ -118,10 +116,7 @@ class MeanQuadratic:
         return out
 
     def loss(self, w: np.ndarray, ds: Dataset) -> float:
-        return self.evaluate(w, ds)[0]
-
-    def accuracy(self, w: np.ndarray, ds: Dataset) -> float:
-        raise ObjectiveError("accuracy is undefined for a quadratic target")
+        return self.evaluate_many([w], ds)[0][0]
 
     def optimum(self, ds: Dataset) -> np.ndarray:
         return ds.features.mean(axis=0)
@@ -142,18 +137,18 @@ class Logistic:
     term, when nonzero, applies to the full parameter vector.  Predicted
     class is the argmax of the logits; ties resolve to the lowest class id.
 
-    evaluate(w, ds) returns (loss, accuracy) from one pass of the logits
-    over the dataset; loss() and accuracy() each take their half of it, so
-    a caller that needs both should call evaluate once.  evaluate_many(ws,
-    ds) does the same for a list of models, with one matrix product per
-    EVAL_BATCH of them; evaluate is evaluate_many of one model.
+    evaluate_many(ws, ds) returns (loss, accuracy) for each model in a
+    list, from one pass of the logits over the dataset, with one matrix
+    product per EVAL_BATCH models.  loss() and accuracy() each take their
+    half of it for one model, so a caller that needs both should call
+    evaluate_many once.
     """
 
     def __init__(self, features_dim: int, classes: int, l2: float = 0.0):
         if features_dim < 1 or classes < 2:
             raise ObjectiveError("need features_dim >= 1 and classes >= 2")
-        if l2 < 0:
-            raise ObjectiveError(f"l2 must be >= 0, got {l2}")
+        if not 0 <= l2 < math.inf:  # NaN fails too
+            raise ObjectiveError(f"l2 must be a finite number >= 0, got {l2}")
         self.features_dim = features_dim
         self.classes = classes
         self.l2 = l2
@@ -193,9 +188,6 @@ class Logistic:
             g = g + self.l2 * W
         return g.ravel()
 
-    def evaluate(self, w: np.ndarray, ds: Dataset) -> tuple[float, float]:
-        return self.evaluate_many([w], ds)[0]
-
     def evaluate_many(self, ws: list[np.ndarray], ds: Dataset) -> list[tuple[float, float]]:
         for w in ws:
             self._check(w, ds, 0)
@@ -225,10 +217,10 @@ class Logistic:
         return out
 
     def loss(self, w: np.ndarray, ds: Dataset) -> float:
-        return self.evaluate(w, ds)[0]
+        return self.evaluate_many([w], ds)[0][0]
 
     def accuracy(self, w: np.ndarray, ds: Dataset) -> float:
-        return self.evaluate(w, ds)[1]
+        return self.evaluate_many([w], ds)[0][1]
 
     def _check(self, w, ds, idx):
         if w.shape != (self.dim,):
@@ -239,9 +231,6 @@ class Logistic:
             raise ObjectiveError("logistic objective needs a labeled dataset")
         if not (0 <= idx < ds.m):
             raise ObjectiveError(f"sample index {idx} out of range for m={ds.m}")
-
-
-Objective = MeanQuadratic | Logistic
 
 
 def synthetic_blobs(seed: int, m: int, dim: int, classes: int, separation: float) -> Dataset:
@@ -256,6 +245,8 @@ def synthetic_blobs(seed: int, m: int, dim: int, classes: int, separation: float
         raise ObjectiveError(f"need m >= classes, got m={m}, classes={classes}")
     if dim < 1:
         raise ObjectiveError(f"need dim >= 1, got {dim}")
+    if not math.isfinite(separation):
+        raise ObjectiveError(f"separation must be finite, got {separation}")
     rng = stream(seed, DATA_STREAM)
     centers = np.zeros((classes, dim))
     for k in range(classes):
@@ -272,16 +263,13 @@ def gaussian_cloud(seed: int, m: int, dim: int, center, spread: float = 1.0) -> 
     """Single unlabeled Gaussian cluster, for quadratic targets."""
     if m < 1 or dim < 1:
         raise ObjectiveError(f"need m >= 1 and dim >= 1, got m={m}, dim={dim}")
-    if spread < 0:
-        raise ObjectiveError(f"spread must be >= 0, got {spread}")
+    if not 0 <= spread < math.inf:  # NaN fails too
+        raise ObjectiveError(f"spread must be a finite number >= 0, got {spread}")
     mu = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
+    if not np.isfinite(mu).all():
+        raise ObjectiveError(f"center must be finite, got {center}")
     rng = stream(seed, DATA_STREAM)
     return Dataset(mu + spread * rng.standard_normal((m, dim)))
-
-
-def iid_indices(n: int, m: int) -> list[np.ndarray]:
-    """Every node samples from the whole dataset."""
-    return [np.arange(m) for _ in range(n)]
 
 
 def _read_bytes(path: str | Path) -> bytes:

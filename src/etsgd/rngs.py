@@ -44,11 +44,11 @@ def uniform_draws(rng: np.random.Generator, lo: float, hi: float):
         yield from rng.uniform(lo, hi, size=BLOCK).tolist()
 
 
-def sample_draws(rng: np.random.Generator, indices: np.ndarray, total: int):
-    """indices[rng.integers(len(indices))] as ints, total times, drawn BLOCK at a time.
+def sample_draws(rng: np.random.Generator, m: int, total: int):
+    """rng.integers(m) as ints, total times, drawn BLOCK at a time.
 
     The last block is cut to what is left, so the stream ends in the state
     total single draws leave.
     """
     for start in range(0, total, BLOCK):
-        yield from indices[rng.integers(len(indices), size=min(BLOCK, total - start))].tolist()
+        yield from rng.integers(m, size=min(BLOCK, total - start)).tolist()

@@ -1,13 +1,13 @@
-"""Round budgets, step sizes, and the staleness bound.
+"""Round budgets and step sizes.
 
 A sample schedule fixes how many local SGD steps a node runs in each
 communication round.  Rounds are zero-based everywhere; growing schedules
 evaluate their formula at ``round_index + 1`` so round 0 already carries a
 nonzero budget.  round_plan is the one place that turns a schedule and an
-iteration budget into rounds; everything else reads its sizes and start
-iterations.  A step schedule maps a global iteration count t to a
-learning rate; within one round the rate is held constant at the value for
-the round's first iteration.
+iteration budget into rounds; everything else, node.setup included, reads
+its sizes and start iterations.  A step schedule maps a global iteration
+count t to a learning rate; within one round the rate is held constant at
+the value for the round's first iteration.
 
 Schedule mini-grammar used by config files and the command line:
 
@@ -158,16 +158,6 @@ def step_size(sched: StepSchedule, t: int | float) -> float:
     if isinstance(sched, DampedInverseTime):
         return 2.252 * sched.eta0 / (sched.epsilon * t + 1.0) ** 0.1
     raise TypeError(f"not a step schedule: {sched!r}")
-
-
-def tau(t: float) -> float:
-    """Staleness allowance sqrt(t/ln t).
-
-    Below t=3 the formula dips (and is undefined at t<=1), so it clamps to
-    tau(3); the allowed window t - tau(t) stays monotone either way.
-    """
-    tt = max(float(t), 3.0)
-    return math.sqrt(tt / math.log(tt))
 
 
 def parse_sample_schedule(text: str) -> SampleSchedule:

@@ -22,11 +22,10 @@ columns, one array per field, and the loop appends to them inline: about
 25 bytes per record in place of a tuple and its objects.  An event's kind
 is held as its index in EVENTS and its detail as an int peer: an apply's
 sender, a round_end's message count, -1 for the other events.
-Trace.records is a row view (TraceRecord tuples) built on each read, and
-Trace(n, edges, records) builds the columns from such rows.  Written, the
-detail is "from=<sender>" on an apply, "msgs=<count>" on a round_end and
-empty otherwise, each int a canonical decimal below n; Trace.read and
-Trace(n, edges, records) accept exactly these.  run() binds heapq's
+Trace.records is a row view (TraceRecord tuples) built on each read.
+Written, the detail is "from=<sender>" on an apply, "msgs=<count>" on a
+round_end and empty otherwise, each int a canonical decimal below n;
+Trace.read accepts exactly these.  run() binds heapq's
 functions as locals when it starts, but heapq itself must stay a
 module-level name looked up then: perfbench counts events by replacing
 simnet.heapq.
@@ -111,9 +110,11 @@ class DelayModel:
     network: tuple[float, float] = (0.1, 1.5)
 
     def __post_init__(self):
-        for lo, hi in (self.compute, self.network):
-            if lo < 0 or hi < lo:
-                raise SimError(f"bad latency range ({lo}, {hi})")
+        for name, (lo, hi) in (("compute", self.compute), ("network", self.network)):
+            if not 0 <= lo <= hi < math.inf:  # NaN fails too
+                raise SimError(
+                    f"{name} latency range must have 0 <= lo <= hi < inf, got ({lo}, {hi})"
+                )
 
 
 class TraceRecord(NamedTuple):
@@ -132,9 +133,10 @@ class Trace:
 
     The columns are parallel arrays: times (float64), then 32-bit nodes,
     rounds, steps (-1 where not applicable) and peers, and events as bytes.
+    A new Trace holds no records; the engine and Trace.read append to them.
     """
 
-    def __init__(self, n: int, edges, records=()):
+    def __init__(self, n: int, edges):
         self.n = n
         self.edges = tuple(edges)
         self.times = array("d")
@@ -143,16 +145,6 @@ class Trace:
         self.rounds = array("i")
         self.steps = array("i")
         self.peers = array("i")
-        for i, (time, node, kind, rnd, step, detail) in enumerate(records):
-            code = _CODES.get(kind)
-            if code is None:
-                raise SimError(f"record {i}: event: unknown event {kind!r}")
-            try:
-                peer = _peer(code, detail, n)
-            except ValueError as exc:
-                raise SimError(f"record {i}: detail: {exc}") from None
-            for column, value in zip(self.columns, (time, node, code, rnd, step, peer)):
-                column.append(value)
 
     @property
     def columns(self) -> tuple[array, ...]:
@@ -347,8 +339,8 @@ class Simulation:
         """Scale every later compute-latency draw of one node."""
         if node not in self._factors:
             raise SimError(f"unknown node id {node}")
-        if factor < 1.0:
-            raise SimError(f"straggler factor must be >= 1, got {factor}")
+        if not 1 <= factor < math.inf:  # NaN fails too
+            raise SimError(f"straggler factor must be a finite number >= 1, got {factor}")
         self._factors[node] = factor
 
     def run(self, round_hook: Callable | None = None) -> SimResult:

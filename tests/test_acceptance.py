@@ -26,11 +26,10 @@ from etsgd.objectives import (
     Logistic,
     MeanQuadratic,
     gaussian_cloud,
-    iid_indices,
     synthetic_blobs,
 )
 from etsgd.rngs import SAMPLE_STREAM, stream
-from etsgd.schedules import Constant, Linear, round_plan
+from etsgd.schedules import Constant, Linear, round_plan, sample_size
 from etsgd.simnet import DelayModel, Simulation
 from etsgd.topology import neighbors, ring
 
@@ -302,10 +301,9 @@ def test_round_lag_invariant_holds_and_mutation_detected(
     objective, train, _ = build_task(cfg)
     budgets, etas = planned_budgets(cfg)
     topo = ring(cfg.n)
-    parts = iid_indices(cfg.n, train.m)
     nodes = [
         ComputeNode(
-            i, objective, train, parts[i], budgets, etas,
+            i, objective, train, budgets, etas,
             neighbors(topo, i), float("inf"), stream(cfg.seed, SAMPLE_STREAM, i),
         )
         for i in range(cfg.n)
@@ -361,7 +359,7 @@ def test_timeline_is_a_bijection(criterion_report):
         p = [1.0 / n] * n
         for rounds in range(1, 7):
             for seed in range(10):
-                asg = setup(n, sched, p, seed, rounds)
+                asg = setup(n, [sample_size(sched, i) for i in range(rounds)], p, seed)
                 tm = TimelineMap(asg)
                 seen = set()
                 for node in range(n):
@@ -430,7 +428,7 @@ def test_identical_seeds_reproduce_artifacts(repro_artifacts, criterion_report):
 
 def test_setup_draw_counts_match_expectation(criterion_report):
     counts = [
-        setup(5, Constant(1000), [0.2] * 5, seed, 1).count(0, 0)
+        setup(5, [1000], [0.2] * 5, seed).count(0, 0)
         for seed in range(1000)
     ]
     mean = float(np.mean(counts))

@@ -1,9 +1,9 @@
-"""Serial SGD reference loop and the drift-triggered gossip baseline."""
+"""The drift-triggered gossip baseline, and a serial SGD loop that pins a one-node run."""
 import numpy as np
 import pytest
 
-from etsgd.baselines import ThresholdNode, default_threshold_schedules, serial_sgd
-from etsgd.node import Message, ProtocolError
+from etsgd.baselines import ThresholdNode, default_threshold_schedules
+from etsgd.node import ComputeNode, Message, ProtocolError
 from etsgd.objectives import Dataset, Logistic, MeanQuadratic, gaussian_cloud, synthetic_blobs
 from etsgd.rngs import SAMPLE_STREAM, stream
 from etsgd.schedules import (
@@ -11,29 +11,30 @@ from etsgd.schedules import (
     Diminishing,
     InverseTime,
     Linear,
+    round_plan,
     step_size,
 )
 from etsgd.simnet import Simulation
 from etsgd.topology import neighbors, ring
 
 
+def serial_sgd(objective, data, total_iterations, step_sched, seed, sample_sched):
+    """Plain sequential SGD with a one-node run's samples and per-round step sizes.
+
+    Samples come from the stream node 0 draws from, and the step size is held
+    at each round's first-iteration value, as the distributed protocol does.
+    """
+    rng = stream(seed, SAMPLE_STREAM, 0)
+    w = np.zeros(objective.dim)
+    etas = []
+    for size, start in zip(*round_plan(sample_sched, total_iterations)):
+        etas.extend([step_size(step_sched, start)] * size)
+    for t in range(total_iterations):
+        w = w - etas[t] * objective.grad(w, data, int(rng.integers(data.m)))
+    return w
+
+
 class TestSerialSgd:
-    def test_zero_iterations_returns_start(self):
-        obj = MeanQuadratic(2)
-        ds = gaussian_cloud(0, 10, 2, (0.0, 0.0), 1.0)
-        w, curve = serial_sgd(obj, ds, 0, Diminishing(0.01), seed=0)
-        assert np.array_equal(w, np.zeros(2))
-        assert curve == []
-        w0 = np.array([3.0, -1.0])
-        w, _ = serial_sgd(obj, ds, 0, Diminishing(0.01), seed=0, w0=w0)
-        assert np.array_equal(w, w0)
-
-    def test_negative_iterations_rejected(self):
-        obj = MeanQuadratic(2)
-        ds = gaussian_cloud(0, 10, 2, (0.0, 0.0), 1.0)
-        with pytest.raises(ValueError):
-            serial_sgd(obj, ds, -1, Diminishing(0.01), seed=0)
-
     def test_matches_single_node_simulation_exactly(self):
         obj = Logistic(2, 2)
         ds = synthetic_blobs(3, 50, 2, 2, 4.0)
@@ -45,28 +46,11 @@ class TestSerialSgd:
         starts = [0, 10, 30, 60]
         etas = [step_size(step, s) for s in starts]
         node_rng = stream(7, SAMPLE_STREAM, 0)
-        from etsgd.node import ComputeNode
-
-        node = ComputeNode(0, obj, ds, np.arange(ds.m), budgets, etas, [], 1, node_rng)
+        node = ComputeNode(0, obj, ds, budgets, etas, [], 1, node_rng)
         topo = ring(1)
         Simulation([node], topo, seed=7).run()
-        w_serial, _ = serial_sgd(obj, ds, k, step, seed=7, sample_sched=sched)
+        w_serial = serial_sgd(obj, ds, k, step, 7, sched)
         assert np.array_equal(node.w, w_serial)
-
-    def test_loss_curve_sampling(self):
-        obj = MeanQuadratic(2)
-        ds = gaussian_cloud(0, 10, 2, (1.0, 1.0), 0.5)
-        _, curve = serial_sgd(obj, ds, 25, Diminishing(0.05), seed=0, loss_every=10)
-        assert [t for t, _ in curve] == [0, 10, 20, 25]
-        losses = [loss for _, loss in curve]
-        assert losses[-1] < losses[0]
-
-    def test_deterministic(self):
-        obj = MeanQuadratic(3)
-        ds = gaussian_cloud(1, 30, 3, (0.0, 0.0, 0.0), 1.0)
-        a, _ = serial_sgd(obj, ds, 200, Diminishing(0.01), seed=11)
-        b, _ = serial_sgd(obj, ds, 200, Diminishing(0.01), seed=11)
-        assert np.array_equal(a, b)
 
 
 def make_threshold_node(total_steps=10, coeff=0.2, neighbor_ids=(1,), data=None, dim=2):
@@ -74,8 +58,8 @@ def make_threshold_node(total_steps=10, coeff=0.2, neighbor_ids=(1,), data=None,
     if data is None:
         data = gaussian_cloud(5, 10, dim, (0.0,) * dim, 1.0)
     alpha, beta = default_threshold_schedules()
-    return ThresholdNode(0, obj, data, np.arange(data.m), total_steps, alpha, beta,
-                         list(neighbor_ids), np.random.default_rng(2), coeff=coeff)
+    return ThresholdNode(0, obj, data, total_steps, alpha, beta, list(neighbor_ids),
+                         np.random.default_rng(2), coeff=coeff)
 
 
 class TestThresholdNode:
@@ -89,8 +73,7 @@ class TestThresholdNode:
         obj = MeanQuadratic(2)
         ds = gaussian_cloud(5, 10, 2, (2.0, -1.0), 1.0)
         alpha, beta = default_threshold_schedules()
-        node = ThresholdNode(0, obj, ds, np.arange(ds.m), 50, alpha, beta, [],
-                             np.random.default_rng(3))
+        node = ThresholdNode(0, obj, ds, 50, alpha, beta, [], np.random.default_rng(3))
         while not node.finished:
             node.advance()
         w = np.zeros(2)
@@ -116,7 +99,6 @@ class TestThresholdNode:
         rnd, step, fired, outbox = node.advance()
         assert fired and (rnd, step) == (0, 1)
         assert [dest for dest, _ in outbox] == [1, 3]
-        assert node.broadcasts == 1
         assert node.round_index == 1
         assert node.step_in_round == 0
         assert np.array_equal(node.last_sent, node.w)
@@ -157,8 +139,8 @@ class TestThresholdNode:
         alpha, beta = default_threshold_schedules()
         topo = ring(3)
         nodes = [
-            ThresholdNode(i, obj, ds, np.arange(ds.m), 40, alpha, beta,
-                          neighbors(topo, i), stream(4, SAMPLE_STREAM, i), coeff=0.2)
+            ThresholdNode(i, obj, ds, 40, alpha, beta, neighbors(topo, i),
+                          stream(4, SAMPLE_STREAM, i), coeff=0.2)
             for i in range(3)
         ]
         result = Simulation(nodes, topo, seed=4).run()

@@ -61,6 +61,29 @@ class TestParsing:
             assert "--straggler" in err and "NODE:FACTOR" in err and repr(value) in err
 
 
+BLOBS = ["--samples", "50", "--nodes", "3", "--iters", "30", "--eval-every", "0"]
+
+
+@pytest.mark.parametrize(
+    "task, flag, value",
+    [
+        (QUAD, "straggler", "0:nan"),
+        (QUAD, "straggler", "0:inf"),
+        (QUAD, "network", "0.1,nan"),
+        (QUAD, "network", "0.1,inf"),
+        (QUAD, "compute", "nan,nan"),
+        (BLOBS, "l2", "nan"),
+        (BLOBS, "separation", "nan"),
+        (QUAD, "spread", "nan"),
+        (QUAD, "center", "nan,0"),
+    ],
+)
+def test_non_finite_setting_exits_one_and_names_it(task, flag, value, capsys):
+    assert run_cli(["run", *task, "--seed", "0", f"--{flag}", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}"), err
+
+
 class TestRun:
     def test_minimal_run(self, capsys):
         assert run_cli(["run", *QUAD, "--seed", "1"]) == 0

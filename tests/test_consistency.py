@@ -3,7 +3,6 @@ import tracemalloc
 from bisect import bisect_left
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -21,10 +20,10 @@ from etsgd.consistency import (
 from etsgd.node import Assignment, ComputeNode, assignment_from_budgets, setup
 from etsgd.objectives import MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
-from etsgd.schedules import Constant, Linear, round_plan
-from etsgd.simnet import DelayModel, Simulation, Trace, TraceRecord
+from etsgd.schedules import Constant, round_plan
+from etsgd.simnet import DelayModel, Simulation, Trace
 from etsgd.topology import complete, line, neighbors, ring
-from test_simnet import SCHEDULES, connected_topologies, drawn_run
+from test_simnet import SCHEDULES, connected_topologies, drawn_run, make_trace
 
 
 def run_ring(n=3, budgets=(10, 10, 10), max_lag=1, seed=0, delay=None, stragglers=None,
@@ -34,8 +33,8 @@ def run_ring(n=3, budgets=(10, 10, 10), max_lag=1, seed=0, delay=None, straggler
     ds = gaussian_cloud(8, 20, 2, (0.0, 0.0), 1.0)
     etas = [0.01] * len(budgets)
     nodes = [
-        ComputeNode(i, obj, ds, np.arange(ds.m), list(budgets), etas,
-                    neighbors(topo, i), max_lag, stream(seed, SAMPLE_STREAM, i))
+        ComputeNode(i, obj, ds, list(budgets), etas, neighbors(topo, i), max_lag,
+                    stream(seed, SAMPLE_STREAM, i))
         for i in range(n)
     ]
     sim = Simulation(nodes, topo, delay, seed)
@@ -61,7 +60,7 @@ class TestTimelineMap:
                 assert tm.global_index(0, k, h) == 5 * k + (h - 1)
 
     def test_round_blocks_are_contiguous(self):
-        asg = setup(3, Linear(4, 1, 0), [1 / 3] * 3, seed=2, rounds=4)
+        asg = setup(3, [4, 8, 12, 16], [1 / 3] * 3, seed=2)
         tm = TimelineMap(asg)
         rounds = [tm.locate(t)[1] for t in range(tm.total)]
         assert rounds == sorted(rounds)
@@ -73,7 +72,7 @@ class TestTimelineMap:
         for n in (1, 2, 3):
             for rounds in (1, 2, 4):
                 for seed in range(3):
-                    asg = setup(n, Linear(3, 1, 0), [1 / n] * n, seed, rounds)
+                    asg = setup(n, [3 * (k + 1) for k in range(rounds)], [1 / n] * n, seed)
                     tm = TimelineMap(asg)
                     image = set()
                     for k in range(rounds):
@@ -88,15 +87,14 @@ class TestTimelineMap:
         tm = TimelineMap(Assignment(3, ((1, 0), (0, 0))))
         assert tm.round_starts == [[(1, 0), (2, 1)], [(0, 0)], []]
 
-    @given(data=st.data(), n=st.integers(1, 5), rounds=st.integers(0, 5))
-    def test_round_starts_match_locate(self, data, n, rounds):
+    @given(data=st.data(), n=st.integers(1, 5), sizes=st.lists(st.integers(0, 15), max_size=5))
+    def test_round_starts_match_locate(self, data, n, sizes):
         weights = data.draw(
             st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any), label="weights"
         )
-        sched = data.draw(st.sampled_from([Constant(1), Constant(4), Linear(3, 1, 0)]))
         seed = data.draw(st.integers(0, 2**16), label="seed")
         probs = [w / sum(weights) for w in weights]
-        tm = TimelineMap(setup(n, sched, probs, seed, rounds))
+        tm = TimelineMap(setup(n, sizes, probs, seed))
         expected = [[] for _ in range(n)]
         for t in range(tm.total):
             node, k, step = tm.locate(t)
@@ -154,26 +152,26 @@ class TestRoundDelayVerifier:
     def test_neighbor_past_32_bits_counts_nothing(self):
         # a 32-bit record cannot name node 2**31 + 5, so no apply from it is ever counted
         far = 2**31 + 5
-        trace = Trace(2**32, ((0, 1), (0, far)), [
-            TraceRecord(1.0, 0, "apply", 0, -1, "from=1"),
-            TraceRecord(2.0, 0, "grad", 2, 1, ""),
+        trace = make_trace(2**32, ((0, 1), (0, far)), [
+            (1.0, 0, "apply", 0, -1, 1),
+            (2.0, 0, "grad", 2, 1, -1),
         ])
         report = verify_round_delay(trace, 1)
         assert [(v.node, v.peer, v.lag) for v in report.violations] == [(0, far, 2)]
         assert (report.checked, report.info["applies"]) == (1, 1)
 
     def test_non_neighbor_apply_rejected(self):
-        trace = Trace(3, ((0, 1), (1, 2)), [TraceRecord(1.0, 0, "apply", 0, -1, "from=2")])
+        trace = make_trace(3, ((0, 1), (1, 2)), [(1.0, 0, "apply", 0, -1, 2)])
         with pytest.raises(ConsistencyError):
             verify_round_delay(trace, 1)
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ConsistencyError):
-            verify_round_delay(Trace(1, (), []), -1)
+            verify_round_delay(Trace(1, ()), -1)
 
     def test_nan_bound_rejected(self):
         # no lag exceeds NaN, so a NaN bound would pass this lag-2 grad as ok
-        trace = Trace(2, ((0, 1),), [TraceRecord(1.0, 0, "grad", 2, 1, "")])
+        trace = make_trace(2, ((0, 1),), [(1.0, 0, "grad", 2, 1, -1)])
         assert not verify_round_delay(trace, 1).ok
         with pytest.raises(ConsistencyError):
             verify_round_delay(trace, float("nan"))
@@ -216,7 +214,7 @@ class TestIterationDelayVerifier:
         assert len(const.violations) == len(as_list.violations) == len(as_fn.violations)
 
     def test_node_count_mismatch_rejected(self):
-        trace = Trace(2, ((0, 1),), [])
+        trace = Trace(2, ((0, 1),))
         with pytest.raises(ConsistencyError):
             verify_iteration_delay(trace, TimelineMap(Assignment(1, ((0,),))), 0)
 
@@ -226,8 +224,8 @@ class TestIterationDelayVerifier:
         ds = gaussian_cloud(8, 20, 2, (0.0, 0.0), 1.0)
         budgets = [10, 10, 10, 10]
         nodes = [
-            ComputeNode(i, obj, ds, np.arange(ds.m), budgets, [0.01] * 4,
-                        neighbors(topo, i), 1, stream(0, SAMPLE_STREAM, i))
+            ComputeNode(i, obj, ds, budgets, [0.01] * 4, neighbors(topo, i), 1,
+                        stream(0, SAMPLE_STREAM, i))
             for i in range(3)
         ]
         result = Simulation(nodes, topo, seed=0).run()
@@ -359,11 +357,11 @@ def test_round_verifier_peak_at_most_16_bytes_per_record():
 def test_round_verifier_memory_ignores_the_node_count():
     # nothing is sized by the '# nodes' header: 200000 nodes, one edge, far from node 0
     u, v = 199_998, 199_999
-    trace = Trace(200_000, ((u, v),), [
-        TraceRecord(0.5, u, "grad", 0, 1, ""),
-        TraceRecord(1.0, u, "round_end", 0, 1, "msgs=1"),
-        TraceRecord(1.5, v, "apply", 0, -1, f"from={u}"),
-        TraceRecord(2.0, v, "grad", 3, 1, ""),
+    trace = make_trace(200_000, ((u, v),), [
+        (0.5, u, "grad", 0, 1, -1),
+        (1.0, u, "round_end", 0, 1, 1),
+        (1.5, v, "apply", 0, -1, u),
+        (2.0, v, "grad", 3, 1, -1),
     ])
     report = verify_round_delay(trace, 1)
     assert [(x.node, x.peer, x.lag) for x in report.violations] == [(v, u, 2)]

@@ -62,6 +62,8 @@ class TestConfigValidation:
             {"eval_samples": 0},
             {"stragglers": {5: 2.0}},
             {"stragglers": {0: 0.5}},
+            {"stragglers": {0: float("nan")}},
+            {"stragglers": {0: float("inf")}},
             {"max_lag": float("nan")},
         ],
     )

@@ -1,4 +1,6 @@
 """Node state machine and slot-assignment behavior."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from etsgd.node import (
 )
 from etsgd.objectives import Dataset, MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
-from etsgd.schedules import Constant, Linear, round_plan
+from etsgd.schedules import round_plan
 from etsgd.simnet import DelayModel, Simulation
 from etsgd.topology import neighbors
 from test_simnet import SCHEDULES, connected_topologies
@@ -29,8 +31,8 @@ def make_node(budgets=(2, 2), etas=None, neighbors=(1,), max_lag=1, dim=2,
     if etas is None:
         etas = [0.1] * len(budgets)
     return ComputeNode(
-        node_id, objective, data, np.arange(data.m), list(budgets), list(etas),
-        list(neighbors), max_lag, np.random.default_rng(seed),
+        node_id, objective, data, list(budgets), list(etas), list(neighbors), max_lag,
+        np.random.default_rng(seed),
     )
 
 
@@ -51,30 +53,28 @@ class TestAssignment:
             Assignment(0, ())
 
     def test_setup_respects_probabilities(self):
-        asg = setup(3, Constant(10), [1.0, 0.0, 0.0], seed=4, rounds=3)
+        asg = setup(3, [10] * 3, [1.0, 0.0, 0.0], seed=4)
         assert all(owner == 0 for rnd in asg.slots for owner in rnd)
         assert asg.round_sizes == (10, 10, 10)
 
     def test_setup_single_node(self):
-        asg = setup(1, Linear(3, 1, 0), [1.0], seed=0, rounds=2)
+        asg = setup(1, [3, 6], [1.0], seed=0)
         assert asg.slots == ((0, 0, 0), (0, 0, 0, 0, 0, 0))
 
     def test_setup_deterministic(self):
-        a = setup(4, Constant(20), [0.25] * 4, seed=9, rounds=2)
-        b = setup(4, Constant(20), [0.25] * 4, seed=9, rounds=2)
+        a = setup(4, [20] * 2, [0.25] * 4, seed=9)
+        b = setup(4, [20] * 2, [0.25] * 4, seed=9)
         assert a == b
 
     def test_setup_validation(self):
         with pytest.raises(AssignmentError):
-            setup(2, Constant(5), [0.5, 0.4], seed=0, rounds=1)  # does not sum to 1
+            setup(2, [5], [0.5, 0.4], seed=0)  # does not sum to 1
         with pytest.raises(AssignmentError):
-            setup(2, Constant(5), [1.5, -0.5], seed=0, rounds=1)
+            setup(2, [5], [1.5, -0.5], seed=0)
         with pytest.raises(AssignmentError):
-            setup(2, Constant(5), [1.0], seed=0, rounds=1)  # wrong length
+            setup(2, [5], [1.0], seed=0)  # wrong length
         with pytest.raises(AssignmentError):
-            setup(0, Constant(5), [], seed=0, rounds=1)
-        with pytest.raises(AssignmentError):
-            setup(2, Constant(5), [0.5, 0.5], seed=0, rounds=-1)
+            setup(0, [5], [], seed=0)
 
     def test_from_budgets_uniform_split(self):
         # equal budgets on every node lay out round-robin, one share per node
@@ -148,10 +148,10 @@ class TestSync:
 
     def test_lag_and_check(self):
         node = self.node_in_round_3({1: 3, 4: 3})
-        assert node.lag() == 0
+        assert node.floor == 3
         assert node.check_sync()
         node = self.node_in_round_3({1: 1, 4: 3})
-        assert node.lag() == 2
+        assert node.floor == 1
         assert not node.check_sync()
         node = self.node_in_round_3({1: 2, 4: 2})
         assert node.check_sync()  # lag exactly at the bound may proceed
@@ -159,13 +159,13 @@ class TestSync:
     def test_no_neighbors_never_waits(self):
         node = make_node(neighbors=())
         node.round_index = 10
-        assert node.lag() == 0
+        assert node.floor == math.inf
         assert node.check_sync()
 
     def test_stepping_while_stale_rejected(self):
         node = make_node(budgets=(1, 1, 1), etas=[0.1] * 3, max_lag=0)
         node.round_index = 1
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match=r"stepping while 1 rounds ahead \(bound 0\)"):
             node.advance()
 
 
@@ -231,13 +231,6 @@ class TestConstruction:
         with pytest.raises(ProtocolError):
             make_node(budgets=(1, 1), etas=[0.1])
 
-    def test_empty_sample_pool(self):
-        objective = MeanQuadratic(2)
-        data = Dataset(np.zeros((2, 2)))
-        with pytest.raises(ProtocolError):
-            ComputeNode(0, objective, data, np.array([]), [1], [0.1], [1], 1,
-                        np.random.default_rng(0))
-
     def test_negative_lag_bound(self):
         with pytest.raises(ProtocolError):
             make_node(max_lag=-1)
@@ -246,16 +239,6 @@ class TestConstruction:
         # no lag exceeds NaN, so the gate would never hold the node back
         with pytest.raises(ProtocolError):
             make_node(max_lag=float("nan"))
-
-    def test_initial_model_copied(self):
-        w0 = np.array([1.0, 2.0])
-        node = make_node()
-        node2 = ComputeNode(0, MeanQuadratic(2), Dataset(np.zeros((1, 2))),
-                            np.arange(1), [1], [0.1], [], 0,
-                            np.random.default_rng(0), w0=w0)
-        w0[0] = 99.0
-        assert node2.w[0] == 1.0
-        assert np.array_equal(node.w, np.zeros(2))
 
     def test_same_seed_same_samples(self):
         a = make_node(budgets=(5,), etas=[0.1], seed=3)
@@ -319,8 +302,8 @@ def test_scaled_broadcast_matches_reference(data, topo, sched, iterations, max_l
 
     def run(node_class):
         nodes = [
-            node_class(i, MeanQuadratic(2), ds, np.arange(ds.m), budgets, etas,
-                       neighbors(topo, i), max_lag, stream(seed, SAMPLE_STREAM, i))
+            node_class(i, MeanQuadratic(2), ds, budgets, etas, neighbors(topo, i), max_lag,
+                       stream(seed, SAMPLE_STREAM, i))
             for i in range(topo.n)
         ]
         sim = Simulation(nodes, topo, DelayModel(network=(lo, hi)), seed)

@@ -1,5 +1,6 @@
 """Loss/gradient oracles, synthetic data generators, and IDX round trips."""
 import gzip
+import math
 import struct
 
 import numpy as np
@@ -21,7 +22,6 @@ from etsgd.objectives import (
     ObjectiveError,
     TruncatedError,
     gaussian_cloud,
-    iid_indices,
     load_idx,
     read_idx_header,
     synthetic_blobs,
@@ -89,9 +89,7 @@ class TestMeanQuadratic:
 
     def test_accuracy_undefined(self):
         ds = Dataset(np.array([[1.0, 2.0], [3.0, 0.0]]))
-        with pytest.raises(ObjectiveError):
-            MeanQuadratic(2).accuracy(np.zeros(2), ds)
-        assert MeanQuadratic(2).evaluate(np.zeros(2), ds) == (3.5, None)
+        assert MeanQuadratic(2).evaluate_many([np.zeros(2)], ds) == [(3.5, None)]
 
     def test_index_bounds(self):
         obj = MeanQuadratic(2)
@@ -151,7 +149,7 @@ class TestLogistic:
         W = w.reshape(4, 4)
         z = ds.features @ W[:, :-1].T + W[:, -1]
         ce = np.log(np.exp(z).sum(axis=1)) - z[np.arange(ds.m), ds.labels]
-        loss, acc = obj.evaluate(w, ds)
+        [(loss, acc)] = obj.evaluate_many([w], ds)
         assert loss == pytest.approx(ce.mean() + 0.5 * 0.05 * float(w @ w), rel=1e-12)
         assert acc == float(np.mean(z.argmax(axis=1) == ds.labels))
 
@@ -233,12 +231,13 @@ class TestLogistic:
             Logistic(0, 2)
         with pytest.raises(ObjectiveError):
             Logistic(2, 1)
-        with pytest.raises(ObjectiveError):
-            Logistic(2, 2, -0.1)
+        for l2 in (-0.1, math.nan, math.inf):
+            with pytest.raises(ObjectiveError, match="^l2 must"):
+                Logistic(2, 2, l2)
 
 
 class TestEvaluateMany:
-    """A model evaluated in a batch gets exactly what evaluate gives it alone."""
+    """A model evaluated in a batch gets exactly what it gets evaluated alone."""
 
     @staticmethod
     def idx_shaped(rng, labeled=True):
@@ -252,14 +251,14 @@ class TestEvaluateMany:
         obj = Logistic(784, 10, l2)
         # two full chunks and a partial one
         ws = [rng.normal(0, 0.05, obj.dim) for _ in range(2 * EVAL_BATCH + 3)]
-        assert obj.evaluate_many(ws, ds) == [obj.evaluate(w, ds) for w in ws]
+        assert obj.evaluate_many(ws, ds) == [obj.evaluate_many([w], ds)[0] for w in ws]
 
     def test_quadratic_matches_evaluate(self):
         rng = np.random.default_rng(10)
         ds = self.idx_shaped(rng, labeled=False)
         obj = MeanQuadratic(784)
         ws = [rng.random(784) for _ in range(2 * EVAL_BATCH + 3)]
-        assert obj.evaluate_many(ws, ds) == [obj.evaluate(w, ds) for w in ws]
+        assert obj.evaluate_many(ws, ds) == [obj.evaluate_many([w], ds)[0] for w in ws]
 
     def test_empty_and_bad_models(self):
         ds = synthetic_blobs(0, 20, 2, 3, 3.0)
@@ -296,6 +295,9 @@ class TestGenerators:
             synthetic_blobs(0, 10, 0, 2, 1.0)
         with pytest.raises(ObjectiveError):
             synthetic_blobs(0, 10, 2, 1, 1.0)
+        for separation in (math.nan, -math.inf):
+            with pytest.raises(ObjectiveError, match="^separation must"):
+                synthetic_blobs(0, 10, 2, 2, separation)
 
     def test_gaussian_cloud_center_and_spread(self):
         ds = gaussian_cloud(2, 2000, 2, (5.0, -1.0), 0.5)
@@ -304,11 +306,12 @@ class TestGenerators:
         exact = gaussian_cloud(2, 3, 2, (1.0, 2.0), 0.0)
         assert np.array_equal(exact.features, [[1.0, 2.0]] * 3)
 
-    def test_iid_indices(self):
-        parts = iid_indices(3, 10)
-        assert len(parts) == 3
-        for p in parts:
-            assert np.array_equal(p, np.arange(10))
+    def test_gaussian_cloud_validation(self):
+        for spread in (-1.0, math.nan, math.inf):
+            with pytest.raises(ObjectiveError, match="^spread must"):
+                gaussian_cloud(0, 10, 2, (0.0, 0.0), spread)
+        with pytest.raises(ObjectiveError, match="^center must"):
+            gaussian_cloud(0, 10, 2, (0.0, math.nan), 1.0)
 
 
 def images_bytes(count=1, rows=1, cols=1, payload=b"\xff", magic=IMAGES_MAGIC) -> bytes:

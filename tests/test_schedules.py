@@ -1,5 +1,4 @@
 """Schedule arithmetic against hand-computed values."""
-import math
 from itertools import accumulate
 
 import pytest
@@ -19,7 +18,6 @@ from etsgd.schedules import (
     round_plan,
     sample_size,
     step_size,
-    tau,
 )
 
 
@@ -170,27 +168,6 @@ class TestStepSize:
             Diminishing(0.0, 0.1)
         with pytest.raises(ScheduleError):
             InverseTime(0.01, -1)
-
-
-class TestTau:
-    def test_reference_values(self):
-        assert tau(3) == pytest.approx(1.6525, abs=5e-4)
-        assert tau(100) == pytest.approx(4.660, abs=5e-4)
-
-    def test_clamped_below_three(self):
-        assert tau(0) == tau(1) == tau(2.9) == tau(3)
-
-    def test_grows_with_t(self):
-        for t in (8, 16, 100, 10**6):
-            assert tau(2 * t) > tau(t)
-
-    def test_window_stays_monotone(self):
-        # the allowed window t - tau(t) never shrinks as t grows
-        windows = [t - tau(t) for t in range(0, 2000)]
-        assert all(b >= a for a, b in zip(windows, windows[1:]))
-
-    def test_exact_formula_above_clamp(self):
-        assert tau(50) == pytest.approx(math.sqrt(50 / math.log(50)))
 
 
 class TestParsers:
