@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.objective == "idx" and not (self.idx_images and self.idx_labels):
             raise ConfigError("objective 'idx' needs idx_images and idx_labels paths")
+        if self.center is not None and len(self.center) != self.dim:
+            raise ConfigError(
+                f"center must have dim={self.dim} coordinates, got {len(self.center)}"
+            )
         if not self.max_lag >= 0:
             raise ConfigError(f"max_lag must be >= 0, got {self.max_lag}")
         if not 0 < self.threshold_coeff <= 1:
@@ -198,8 +202,11 @@ def planned_budgets(cfg: ExperimentConfig) -> tuple[list[int], list[float]]:
     """Per-round step budgets and step sizes one node will execute.
 
     The budgets are round_plan's sizes for the per-node iteration count;
-    each round's step size is the step schedule evaluated at the round's
-    first global iteration.
+    each round's step size is the step schedule evaluated at round_plan's
+    start, the node's own step count when the round begins.  It is not the
+    round's first global iteration: on a ring of 5 nodes under
+    linear:10,1,0, round 1's rate is read at step 10, while TimelineMap
+    puts that round's first step at global iteration 50.
     """
     sample_sched = parse_sample_schedule(cfg.sample_schedule)
     step_sched = parse_step_schedule(cfg.step_schedule)

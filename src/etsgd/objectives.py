@@ -265,7 +265,9 @@ def gaussian_cloud(seed: int, m: int, dim: int, center, spread: float = 1.0) -> 
         raise ObjectiveError(f"need m >= 1 and dim >= 1, got m={m}, dim={dim}")
     if not 0 <= spread < math.inf:  # NaN fails too
         raise ObjectiveError(f"spread must be a finite number >= 0, got {spread}")
-    mu = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
+    mu = np.asarray(center, dtype=float)
+    if mu.shape not in ((), (dim,)):
+        raise ObjectiveError(f"center must be one number or {dim} numbers, got {center}")
     if not np.isfinite(mu).all():
         raise ObjectiveError(f"center must be finite, got {center}")
     rng = stream(seed, DATA_STREAM)

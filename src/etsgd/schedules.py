@@ -5,9 +5,10 @@ communication round.  Rounds are zero-based everywhere; growing schedules
 evaluate their formula at ``round_index + 1`` so round 0 already carries a
 nonzero budget.  round_plan is the one place that turns a schedule and an
 iteration budget into rounds; everything else, node.setup included, reads
-its sizes and start iterations.  A step schedule maps a global iteration
-count t to a learning rate; within one round the rate is held constant at
-the value for the round's first iteration.
+its sizes and start iterations.  A step schedule maps a step count t to a
+learning rate.  Its callers pass one node's own step count, not a global
+iteration: a round's rate is the value at the number of steps the node
+took before that round, and it is held constant within the round.
 
 Schedule mini-grammar used by config files and the command line:
 
@@ -91,10 +92,11 @@ def sample_size(sched: SampleSchedule, round_index: int) -> int:
 def round_plan(sched: SampleSchedule, total_iterations: int) -> tuple[list[int], list[int]]:
     """(sizes, starts) of the fewest rounds that cover an iteration budget.
 
-    starts[i] is the global iteration at which round i begins.  The last
-    round is trimmed so the sizes sum to exactly total_iterations; every
-    other round takes the schedule's full budget.  A zero budget has no
-    rounds.
+    starts[i] is the number of iterations before round i, counted as
+    total_iterations is: the harness passes one node's budget, so a start
+    is that node's own step count.  The last round is trimmed so the sizes
+    sum to exactly total_iterations; every other round takes the schedule's
+    full budget.  A zero budget has no rounds.
     """
     if total_iterations < 0:
         raise ScheduleError(f"total_iterations must be >= 0, got {total_iterations}")
@@ -148,7 +150,7 @@ StepSchedule = Diminishing | InverseTime | DampedInverseTime
 
 
 def step_size(sched: StepSchedule, t: int | float) -> float:
-    """Learning rate at global iteration t."""
+    """Learning rate at step count t, one node's own steps so far."""
     if t < 0:
         raise ScheduleError(f"iteration must be >= 0, got {t}")
     if isinstance(sched, Diminishing):

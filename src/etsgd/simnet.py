@@ -54,8 +54,9 @@ GRAD, ROUND_END, APPLY, WAIT_ENTER, WAIT_EXIT = range(len(EVENTS))
 _CODES = {kind: code for code, kind in enumerate(EVENTS)}
 # the detail of a record is this prefix and its peer, or empty where the prefix is
 _PREFIX = ("", "msgs=", "from=", "", "")
-# the int columns are 32-bit
+# the int columns are 32-bit, so a trace has at most MAX_NODES nodes
 _INT_RANGE = range(-2**31, 2**31)
+MAX_NODES = 2**31
 
 
 class Driver(Protocol):
@@ -134,9 +135,12 @@ class Trace:
     The columns are parallel arrays: times (float64), then 32-bit nodes,
     rounds, steps (-1 where not applicable) and peers, and events as bytes.
     A new Trace holds no records; the engine and Trace.read append to them.
+    Its n is at most MAX_NODES, so every node id fits the 32-bit node column.
     """
 
     def __init__(self, n: int, edges):
+        if n > MAX_NODES:
+            raise SimError(f"nodes: expected at most {MAX_NODES}, got {n}")
         self.n = n
         self.edges = tuple(edges)
         self.times = array("d")
@@ -190,8 +194,10 @@ class Trace:
                 if trace is not None:
                     raise SimError(f"{path}:{lineno}: nodes: a second '# nodes' header")
                 n = _number(path, lineno, "nodes", int, raw[len("# nodes "):].strip())
-                if n < 1:
-                    raise SimError(f"{path}:{lineno}: nodes: expected at least 1, got {n}")
+                if not 1 <= n <= MAX_NODES:
+                    raise SimError(
+                        f"{path}:{lineno}: nodes: expected 1 to {MAX_NODES}, got {n}"
+                    )
                 trace = Trace(n, ())
                 at, an, ae, ar, ah, ap = (column.append for column in trace.columns)
             elif not raw or raw.startswith("time,") or (

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from etsgd import cli
 from etsgd.harness import ExperimentConfig
+from etsgd.simnet import SimError, Trace
 
 
 def run_cli(argv):
@@ -53,6 +54,15 @@ class TestParsing:
     def test_bad_center(self, capsys):
         assert run_cli(["run", *QUAD, "--seed", "1", "--center", "1,x"]) == 1
         assert "--center expects comma-separated numbers, got '1,x'" in capsys.readouterr().err
+
+    def test_center_of_wrong_length_names_it(self, tmp_path, capsys):
+        # the default dim is 2, from a flag and from a config file alike
+        assert run_cli(["run", *QUAD, "--seed", "0", "--center", "1,2,3"]) == 1
+        assert capsys.readouterr().err == "error: center must have dim=2 coordinates, got 3\n"
+        path = tmp_path / "task.ini"
+        path.write_text("[task]\ncenter = 1,2,3\n")
+        assert run_cli(["run", *QUAD, "--seed", "0", "--config", str(path)]) == 1
+        assert "center must have dim=2 coordinates, got 3" in capsys.readouterr().err
 
     def test_bad_straggler_syntax(self, capsys):
         for value in ("0=2", "0:x", "y:2"):
@@ -340,6 +350,21 @@ class TestValidateTrace:
         trace.write_text("# nodes 2\n# edge 0\ntime,node,event,round,h,detail\n")
         assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
         assert f"{trace}:2: edge: " in capsys.readouterr().err
+
+    def test_node_count_past_32_bits_names_line(self, tmp_path, capsys):
+        # node ids are 32-bit in a trace's columns, so at most 2**31 nodes
+        trace = tmp_path / "big.trace"
+        trace.write_text(
+            "# nodes 4294967297\n# edge 0 4294967296\ntime,node,event,round,h,detail\n"
+            "1.0,0,grad,2,1,\n"
+        )
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
+        assert f"error: {trace}:1: nodes: expected 1 to 2147483648, got 4294967297" in (
+            capsys.readouterr().err
+        )
+        assert Trace(2**31, ()).n == 2**31
+        with pytest.raises(SimError, match="^nodes: expected at most 2147483648, got 2147483649"):
+            Trace(2**31 + 1, ())
 
     def test_non_utf8_trace_names_line(self, tmp_path, capsys):
         trace = tmp_path / "bad.trace"

@@ -149,16 +149,17 @@ class TestRoundDelayVerifier:
                 reference_round_delay(result.trace, bound)
             )
 
-    def test_neighbor_past_32_bits_counts_nothing(self):
-        # a 32-bit record cannot name node 2**31 + 5, so no apply from it is ever counted
-        far = 2**31 + 5
-        trace = make_trace(2**32, ((0, 1), (0, far)), [
-            (1.0, 0, "apply", 0, -1, 1),
-            (2.0, 0, "grad", 2, 1, -1),
+    def test_largest_node_id_verified(self):
+        # 2**31 nodes put the keys past 32 bits; node 0 never applied a message from far
+        far = 2**31 - 1
+        trace = make_trace(2**31, ((0, far),), [
+            (1.0, far, "apply", 0, -1, 0),
+            (2.0, far, "grad", 2, 1, -1),
+            (3.0, 0, "grad", 2, 1, -1),
         ])
         report = verify_round_delay(trace, 1)
         assert [(v.node, v.peer, v.lag) for v in report.violations] == [(0, far, 2)]
-        assert (report.checked, report.info["applies"]) == (1, 1)
+        assert (report.checked, report.info["applies"]) == (2, 1)
 
     def test_non_neighbor_apply_rejected(self):
         trace = make_trace(3, ((0, 1), (1, 2)), [(1.0, 0, "apply", 0, -1, 2)])
@@ -352,6 +353,15 @@ def test_round_verifier_peak_at_most_16_bytes_per_record():
     assert records > 20_000
     assert verify_round_delay(result.trace, 2).ok
     assert verifier_peak(result.trace, 2) <= 16 * records
+
+
+def test_round_verifier_peak_at_most_16_bytes_per_record_of_grads():
+    # two nodes, 500 steps per round: all but 160 of the records are grads
+    result = run_ring(n=2, budgets=(500,) * 40, max_lag=1, seed=7, topo=line(2))
+    records = len(result.trace.times)
+    assert records == 40_160
+    assert verify_round_delay(result.trace, 1).ok
+    assert verifier_peak(result.trace, 1) <= 16 * records
 
 
 def test_round_verifier_memory_ignores_the_node_count():

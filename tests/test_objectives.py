@@ -310,8 +310,9 @@ class TestGenerators:
         for spread in (-1.0, math.nan, math.inf):
             with pytest.raises(ObjectiveError, match="^spread must"):
                 gaussian_cloud(0, 10, 2, (0.0, 0.0), spread)
-        with pytest.raises(ObjectiveError, match="^center must"):
-            gaussian_cloud(0, 10, 2, (0.0, math.nan), 1.0)
+        for center in ((0.0, math.nan), (1.0, 2.0, 3.0), ()):
+            with pytest.raises(ObjectiveError, match="^center must"):
+                gaussian_cloud(0, 10, 2, center, 1.0)
 
 
 def images_bytes(count=1, rows=1, cols=1, payload=b"\xff", magic=IMAGES_MAGIC) -> bytes:

@@ -6,7 +6,10 @@ check reads names with ast, so it goes by name only: a method counts as
 used wherever an attribute of its name is read.  perfbench's Tracer
 patches by name, so its string constants count too, and a string passed
 after a class, as in patch(objectives.Logistic, "accuracy", ...), names
-that class's method.  Dunder methods are called by Python itself.
+that class's method.  Dunder methods are called by Python itself.  A
+method that shares its name with a method of str, bytes, tuple, list, dict
+or set is not counted by name, since a read of that name may be the
+built-in's: perfbench must patch it, or it is on the allowlist.
 """
 import ast
 from pathlib import Path
@@ -19,7 +22,10 @@ PERFBENCH = ROOT / "perfbench"
 ALLOWED = {
     "setup": "acceptance criteria 10 and 13 draw the paper's randomized slot assignment",
     "TimelineMap.locate": "acceptance criterion 10 inverts the timeline with it",
+    "Assignment.count": "acceptance criteria 10 and 13 read each node's slots per round with it",
 }
+# method names of the built-in containers, which a read of the bare name cannot tell apart
+BUILTIN_METHODS = {name for kind in (str, bytes, tuple, list, dict, set) for name in dir(kind)}
 
 
 def definitions():
@@ -62,6 +68,9 @@ def test_no_src_code_is_reached_only_from_tests():
     read, strings, patched = references()
     unused = sorted(
         name for name, bare, method in definitions()
-        if bare not in read and name not in patched and (method or bare not in strings)
+        if name not in patched and (
+            method and bare in BUILTIN_METHODS
+            or bare not in read and (method or bare not in strings)
+        )
     )
     assert unused == sorted(ALLOWED)
