@@ -7,6 +7,8 @@ same simulator as the scheduled nodes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .node import Message, ProtocolError
@@ -44,8 +46,8 @@ class ThresholdNode:
     ):
         if total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {total_steps}")
-        if coeff <= 0:
-            raise ValueError(f"coeff must be positive, got {coeff}")
+        if not 0 < coeff < math.inf:  # NaN fails too
+            raise ValueError(f"coeff must be a finite number > 0, got {coeff}")
         self.node_id = node_id
         self.objective = objective
         self.data = data

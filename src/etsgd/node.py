@@ -9,6 +9,15 @@ Before every local step the node checks how far its own round index
 runs ahead of the rounds received from each neighbor; past the configured
 lag bound it must wait.
 
+The steps run in the objective's stepper, which holds the node's model,
+gradient sum and data.  A Logistic stepper lands its steps a block of
+objectives.STEP_BLOCK at a time, so the node flushes it when it closes a
+round, before the broadcast, the round snapshot and the final model read
+them, and before it subtracts a delivery, so no block spans a payload.
+Summed in that order, Logistic weights differ from one-step-at-a-time
+updates in the last bits; the trace does not, since virtual time and the
+lag gate never read model values.
+
 The slot assignment lives here too: it names the node that runs each
 step slot of each round, which is the global iteration labeling the
 consistency checks use.  assignment_from_budgets lays out the per-node
@@ -159,6 +168,7 @@ class ComputeNode:
         self.round_index = 0
         self.step_in_round = 0
         self.grad_sum = np.zeros(objective.dim)
+        self._stepper = objective.stepper(self.w, self.grad_sum, data)
         self.received = {int(e): 0 for e in neighbors}
         self._dests = sorted(self.received)
         self.floor = min(self.received.values(), default=math.inf)
@@ -185,6 +195,7 @@ class ComputeNode:
                 f"node {self.node_id}: message from node {sender} for round {rnd}, "
                 f"outside its rounds 0..{len(self.etas) - 1}"
             )
+        self._stepper.flush()
         self.w -= msg.payload
         self.received[sender] = count + 1
         if count == self.floor:
@@ -199,7 +210,9 @@ class ComputeNode:
         messages.  The update is an array of its own, so the next round
         resets the gradient sum in place and later steps cannot alter
         messages in flight.  A round with a zero budget closes without a
-        step, reported with step_in_round 0.
+        step, reported with step_in_round 0.  Closing a round flushes the
+        stepper, so w and grad_sum show every step; between closes, w may
+        still lack the steps of the round's open block.
         """
         rnd = self.round_index
         if rnd >= self.rounds_total:
@@ -211,14 +224,13 @@ class ComputeNode:
             )
         budget = self.budgets[rnd]
         if budget:
-            g = self.objective.grad(self.w, self.data, next(self._samples))
-            self.w -= self.etas[rnd] * g
-            self.grad_sum += g
+            self._stepper.step(next(self._samples), self.etas[rnd])
             self.step_in_round += 1
             self.t += 1
         step = self.step_in_round
         if step < budget:
             return rnd, step, False, []
+        self._stepper.flush()
         msg = Message(self.node_id, self.grad_sum * self.etas[rnd], rnd)
         outbox = [(dest, msg) for dest in self._dests]
         self.round_index += 1

@@ -39,8 +39,8 @@ class Linear:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.a < 0 or self.p < 0 or self.b < 0:
-            raise ScheduleError("linear schedule needs a >= 0, p >= 0, b >= 0")
+        if not all(0 <= x < math.inf for x in (self.a, self.p, self.b)):  # NaN fails too
+            raise ScheduleError("linear schedule needs finite a >= 0, p >= 0, b >= 0")
         if self.a == 0 and self.b == 0:
             raise ScheduleError("linear schedule with a=0 and b=0 produces empty rounds")
 
@@ -63,8 +63,8 @@ class LogDamped:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ScheduleError(f"logdamped schedule needs scale > 0, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # NaN fails too
+            raise ScheduleError(f"logdamped schedule needs a finite scale > 0, got {self.scale}")
 
 
 SampleSchedule = Linear | Constant | LogDamped
@@ -118,8 +118,8 @@ class Diminishing:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.eta0 <= 0 or self.beta < 0:
-            raise ScheduleError("diminishing rate needs eta0 > 0 and beta >= 0")
+        if not (0 < self.eta0 < math.inf and 0 <= self.beta < math.inf):  # NaN fails too
+            raise ScheduleError("diminishing rate needs finite eta0 > 0 and beta >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ class InverseTime:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if self.eta0 <= 0 or self.epsilon < 0:
-            raise ScheduleError("inverse-time rate needs eta0 > 0 and epsilon >= 0")
+        if not (0 < self.eta0 < math.inf and 0 <= self.epsilon < math.inf):  # NaN fails too
+            raise ScheduleError("inverse-time rate needs finite eta0 > 0 and epsilon >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ class DampedInverseTime:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if self.eta0 <= 0 or self.epsilon < 0:
-            raise ScheduleError("damped inverse-time rate needs eta0 > 0 and epsilon >= 0")
+        if not (0 < self.eta0 < math.inf and 0 <= self.epsilon < math.inf):  # NaN fails too
+            raise ScheduleError("damped inverse-time rate needs finite eta0 > 0 and epsilon >= 0")
 
 
 StepSchedule = Diminishing | InverseTime | DampedInverseTime

@@ -1,4 +1,5 @@
-"""The drift-triggered gossip baseline, and a serial SGD loop that pins a one-node run."""
+"""The drift-triggered gossip baseline, and a serial SGD loop that pins a one-node
+quadratic run bit for bit and a one-node Logistic run to rounding."""
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from etsgd.schedules import (
 )
 from etsgd.simnet import Simulation
 from etsgd.topology import neighbors, ring
+from test_node import assert_close_to_dense
 
 
 def serial_sgd(objective, data, total_iterations, step_sched, seed, sample_sched):
@@ -35,22 +37,31 @@ def serial_sgd(objective, data, total_iterations, step_sched, seed, sample_sched
 
 
 class TestSerialSgd:
-    def test_matches_single_node_simulation_exactly(self):
-        obj = Logistic(2, 2)
-        ds = synthetic_blobs(3, 50, 2, 2, 4.0)
+    @staticmethod
+    def single_node_and_serial(obj, ds):
         sched = Linear(10, 1, 0)
         step = Diminishing(0.01, 0.01)
-        k = 100
         # simulated single node: budgets 10,20,30,40 with the last trimmed
         budgets = [10, 20, 30, 40]
         starts = [0, 10, 30, 60]
         etas = [step_size(step, s) for s in starts]
         node_rng = stream(7, SAMPLE_STREAM, 0)
         node = ComputeNode(0, obj, ds, budgets, etas, [], 1, node_rng)
-        topo = ring(1)
-        Simulation([node], topo, seed=7).run()
-        w_serial = serial_sgd(obj, ds, k, step, 7, sched)
-        assert np.array_equal(node.w, w_serial)
+        Simulation([node], ring(1), seed=7).run()
+        return node.w, serial_sgd(obj, ds, 100, step, 7, sched)
+
+    def test_matches_single_node_simulation_exactly(self):
+        # MeanQuadratic's stepper takes each step as the serial loop does
+        w, w_serial = self.single_node_and_serial(
+            MeanQuadratic(2), gaussian_cloud(3, 50, 2, (2.0, -1.0), 1.0))
+        assert np.array_equal(w, w_serial)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_logistic_matches_single_node_simulation_to_rounding(self, l2):
+        # Logistic's stepper lands its steps in blocks, another summation order
+        w, w_serial = self.single_node_and_serial(
+            Logistic(2, 2, l2), synthetic_blobs(3, 50, 2, 2, 4.0))
+        assert_close_to_dense(w, w_serial)
 
 
 def make_threshold_node(total_steps=10, coeff=0.2, neighbor_ids=(1,), data=None, dim=2):
@@ -132,6 +143,12 @@ class TestThresholdNode:
             make_threshold_node(total_steps=-1)
         with pytest.raises(ValueError):
             make_threshold_node(coeff=0.0)
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf")])
+    def test_non_finite_coeff_rejected(self, coeff):
+        # a NaN or infinite drift gate would never fire a broadcast
+        with pytest.raises(ValueError, match="coeff must be a finite number > 0"):
+            make_threshold_node(coeff=coeff)
 
     def test_rides_the_simulator(self):
         obj = MeanQuadratic(2)

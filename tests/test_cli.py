@@ -94,6 +94,26 @@ def test_non_finite_setting_exits_one_and_names_it(task, flag, value, capsys):
     assert err.startswith(f"error: {flag}"), err
 
 
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [
+        ("schedule", "linear:nan,1,0", "sample"),
+        ("schedule", "linear:inf,1,0", "sample"),
+        ("schedule", "thetalog:inf", "sample"),
+        ("step", "diminishing:nan,0.01", "step"),
+        ("step", "diminishing:0.01,inf", "step"),
+        ("step", "invtime:0.01,nan", "step"),
+    ],
+)
+def test_non_finite_schedule_parameter_exits_one_and_names_it(flag, value, kind, tmp_path,
+                                                               capsys):
+    out = tmp_path / "run.csv"
+    argv = ["run", f"--{flag}", value, "--iters", "20", "--seed", "0", "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad {kind} schedule {value!r}: ")
+    assert not out.exists()
+
+
 class TestRun:
     def test_minimal_run(self, capsys):
         assert run_cli(["run", *QUAD, "--seed", "1"]) == 0

@@ -15,8 +15,8 @@ from etsgd.node import (
     assignment_from_budgets,
     setup,
 )
-from etsgd.objectives import Dataset, MeanQuadratic, gaussian_cloud
-from etsgd.rngs import SAMPLE_STREAM, stream
+from etsgd.objectives import STEP_BLOCK, Dataset, Logistic, MeanQuadratic, gaussian_cloud
+from etsgd.rngs import SAMPLE_STREAM, sample_draws, stream
 from etsgd.schedules import round_plan
 from etsgd.simnet import DelayModel, Simulation
 from etsgd.topology import neighbors
@@ -314,3 +314,97 @@ def test_scaled_broadcast_matches_reference(data, topo, sched, iterations, max_l
     reference_trace, reference_weights = run(ReferenceNode)
     assert weights == reference_weights
     assert trace == reference_trace
+
+
+def assert_close_to_dense(w, reference):
+    """A Logistic stepper lands its steps in another summation order than the dense
+    per-step loop: the two agree to 1e-12 of the reference's largest entry, or absolutely
+    below 1."""
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(reference))))
+    assert float(np.max(np.abs(w - reference))) <= bound
+
+
+def drive_against_dense(objective, ds, budgets, etas, deliveries, seed):
+    """Run one ComputeNode and the dense per-step loop side by side.
+
+    deliveries maps an advance call's position (len(calls) for after the last one) to
+    a payload that both receive just before it, as from neighbor 1 in round 0.  Returns
+    the node's and the loop's broadcast payloads, then their final models.
+    """
+    node = ComputeNode(0, objective, ds, budgets, etas, [1], math.inf,
+                       stream(seed, SAMPLE_STREAM, 0))
+    samples = sample_draws(stream(seed, SAMPLE_STREAM, 0), ds.m, sum(budgets))
+    w, grad_sum = np.zeros(objective.dim), np.zeros(objective.dim)
+    sent, expected = [], []
+    calls = sum(max(b, 1) for b in budgets)
+    step = 0
+    rnd = 0
+    for call in range(calls + 1):
+        if call in deliveries:
+            node.on_receive(Message(1, deliveries[call], 0))
+            w -= deliveries[call]
+        if call == calls:
+            break
+        _, _, closed, outbox = node.advance()
+        if budgets[rnd]:
+            g = objective.grad(w, ds, next(samples))
+            w -= etas[rnd] * g
+            grad_sum += g
+            step += 1
+        if step == budgets[rnd]:
+            assert closed
+            sent.append(outbox[0][1].payload)
+            expected.append(grad_sum * etas[rnd])
+            grad_sum.fill(0.0)
+            step = 0
+            rnd += 1
+    assert node.finished
+    return sent, expected, node.w, w
+
+
+@st.composite
+def dense_runs(draw):
+    """Budgets shorter and longer than STEP_BLOCK, zero included, a step size per
+    round, and payloads delivered at drawn points."""
+    budgets = draw(st.lists(st.integers(0, 3 * STEP_BLOCK), min_size=1, max_size=5),
+                   label="budgets")
+    etas = draw(st.lists(st.floats(1e-3, 0.5), min_size=len(budgets), max_size=len(budgets)),
+                label="etas")
+    calls = sum(max(b, 1) for b in budgets)
+    points = draw(st.sets(st.integers(0, calls), max_size=6), label="delivery points")
+    return budgets, etas, points, draw(st.integers(0, 2**16), label="seed")
+
+
+@given(
+    run=dense_runs(),
+    features=st.integers(1, 20),
+    classes=st.integers(2, 12),
+    l2=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+)
+def test_logistic_stepper_matches_dense_steps(run, features, classes, l2):
+    budgets, etas, points, seed = run
+    rng = np.random.default_rng(seed)
+    # rows of norm about 1 keep the drawn step sizes inside the stable range, so the
+    # rounding of one summation order is not amplified step after step
+    ds = Dataset(rng.standard_normal((40, features)) / math.sqrt(features),
+                 rng.integers(0, classes, 40))
+    objective = Logistic(features, classes, l2)
+    deliveries = {c: 0.1 * rng.standard_normal(objective.dim) for c in sorted(points)}
+    sent, expected, w, w_dense = drive_against_dense(objective, ds, budgets, etas, deliveries,
+                                                     seed)
+    assert len(sent) == len(expected) == len(budgets)
+    for payload, reference in zip(sent, expected):
+        assert_close_to_dense(payload, reference)
+    assert_close_to_dense(w, w_dense)
+
+
+@given(run=dense_runs(), dim=st.integers(1, 5))
+def test_quadratic_stepper_is_the_dense_loop(run, dim):
+    budgets, etas, points, seed = run
+    rng = np.random.default_rng(seed)
+    ds = Dataset(rng.standard_normal((40, dim)))
+    deliveries = {c: 0.1 * rng.standard_normal(dim) for c in sorted(points)}
+    sent, expected, w, w_dense = drive_against_dense(MeanQuadratic(dim), ds, budgets, etas,
+                                                     deliveries, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(sent, expected))
+    assert np.array_equal(w, w_dense)

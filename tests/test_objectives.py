@@ -2,6 +2,7 @@
 import gzip
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from etsgd.objectives import (
     synthetic_blobs,
     write_idx,
 )
+from test_node import assert_close_to_dense
 
 
 def one_sample(ds: Dataset, idx: int) -> Dataset:
@@ -236,6 +238,56 @@ class TestLogistic:
                 Logistic(2, 2, l2)
 
 
+LABELED = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int))
+
+
+class TestLogisticStepper:
+    @pytest.mark.parametrize(
+        "w, ds",
+        [
+            (np.zeros(7), LABELED),
+            (np.zeros((2, 3)), LABELED),
+            (np.zeros(6), Dataset(np.zeros((3, 3)), np.zeros(3, dtype=int))),
+            (np.zeros(6), Dataset(np.zeros((3, 2)))),
+        ],
+        ids=["w-length", "w-matrix", "dataset-dim", "unlabeled"],
+    )
+    def test_build_checks_shapes_once(self, w, ds):
+        with pytest.raises(ObjectiveError):
+            Logistic(2, 2).stepper(w, np.zeros(w.shape), ds)
+
+    @pytest.mark.parametrize("idx", [-1, 3])
+    def test_step_checks_index(self, idx):
+        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), LABELED)
+        with pytest.raises(ObjectiveError, match=f"sample index {idx} out of range for m=3"):
+            stepper.step(idx, 0.1)
+
+    def test_step_checks_label(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([0, 5]))
+        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
+        stepper.step(0, 0.1)
+        with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
+            stepper.step(1, 0.1)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_new_step_size_lands_the_block_first(self, l2):
+        # a block holds the steps of one step size; the node closes a round, and so
+        # flushes, before its step size changes, but a stepper does not rely on it
+        obj = Logistic(3, 4, l2)
+        ds = synthetic_blobs(2, 30, 3, 4, 2.0)
+        w, grad_sum = np.zeros(obj.dim), np.zeros(obj.dim)
+        stepper = obj.stepper(w, grad_sum, ds)
+        w_dense, sum_dense = np.zeros(obj.dim), np.zeros(obj.dim)
+        for idx, eta in enumerate([0.1, 0.1, 0.3, 0.3, 0.3, 0.05, 0.05]):
+            stepper.step(idx, eta)
+            g = obj.grad(w_dense, ds, idx)
+            w_dense -= eta * g
+            sum_dense += g
+        stepper.flush()
+        assert_close_to_dense(w, w_dense)
+        assert_close_to_dense(grad_sum, sum_dense)
+
+
 class TestEvaluateMany:
     """A model evaluated in a batch gets exactly what it gets evaluated alone."""
 
@@ -408,6 +460,22 @@ class TestIdx:
         junk.write_bytes(b"\x01\x02\x03\x04\x05\x06\x07\x08")
         with pytest.raises(BadMagicError):
             read_idx_header(junk)
+
+    def test_write_quantizes_in_one_temporary(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.standard_normal((400, 100)), rng.integers(0, 10, size=400))
+        features = ds.features
+        lo, hi = features.min(), features.max()
+        expected = np.floor((features - lo) * (255.0 / (hi - lo)) + 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            write_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float temporary and the bytes, where the expression above holds two floats
+        assert peak <= 1.25 * features.nbytes
+        assert (tmp_path / "img.idx").read_bytes()[16:] == expected.tobytes()
 
     def test_write_requires_labels(self, tmp_path):
         with pytest.raises(ObjectiveError):

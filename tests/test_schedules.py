@@ -193,3 +193,25 @@ class TestParsers:
     def test_bad_step_text(self, text):
         with pytest.raises(ScheduleError):
             parse_step_schedule(text)
+
+
+VALID_ARGS = {
+    Linear: {"a": 10.0, "p": 1.0, "b": 0.0},
+    LogDamped: {"scale": 5.0},
+    Diminishing: {"eta0": 0.01, "beta": 0.01},
+    InverseTime: {"eta0": 0.01, "epsilon": 1e-5},
+    DampedInverseTime: {"eta0": 0.01, "epsilon": 1e-5},
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, field) for cls, args in VALID_ARGS.items() for field in args],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_non_finite_parameter_rejected(cls, field, bad):
+    # NaN passes every < and <= test, so each guard must reject it on its own
+    cls(**VALID_ARGS[cls])
+    with pytest.raises(ScheduleError):
+        cls(**{**VALID_ARGS[cls], field: bad})
