@@ -262,10 +262,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
+    if ns.repeats < 1:
+        raise ValueError(f"--repeats: expected an int >= 1, got {ns.repeats}")
     cfg = _build_config(ns)
-    repeats = ns.repeats
     rows = []
-    for offset in range(repeats):
+    for offset in range(ns.repeats):
         seed = cfg.seed + offset
         sched = run_experiment(replace(cfg, name=f"scheduled[seed={seed}]",
                                        algorithm="scheduled", seed=seed))

@@ -14,7 +14,8 @@ keeps stepping while the batch's matrix product runs, which releases the
 GIL; results are collected in submission order, so the curves are the
 same bytes either way.  Smaller held-out sets are evaluated inline, where
 a batch is bound by Python overhead and a thread would only add GIL
-handoffs.
+handoffs.  The final models are evaluated on the calling thread while the
+worker finishes its last batches.
 """
 from __future__ import annotations
 
@@ -317,6 +318,8 @@ def run_experiment(
         # eval_every 0 disables the curves, so the engine gets no hook to call
         result = sim.run(round_hook if cfg.eval_every else None)
         flush()
+        # the final models are evaluated while the worker drains its batches
+        finals = objective.evaluate_many([node.w for node in nodes], held)
         collect(0)
     finally:
         if worker is not None:
@@ -335,7 +338,6 @@ def run_experiment(
         delay_ok = None
         rounds_total = max(result.rounds_completed, default=0)
 
-    finals = objective.evaluate_many([node.w for node in nodes], held)
     node_metrics = []
     for i, (node, (loss, acc)) in enumerate(zip(nodes, finals)):
         node_metrics.append(
@@ -481,10 +483,15 @@ def export_svg_lines(curves, path: str | Path, title: str = "") -> None:
 
     Purely deterministic text output: fixed canvas, fixed palette, fixed
     number formatting.  Good enough to eyeball convergence, not a plotting
-    library.
+    library.  The axes span the finite points only, and a point with a
+    non-finite coordinate (a diverged run's loss) is left out of its line.
     """
     width, height = 640.0, 400.0
     left, right, top, bottom = 60.0, 20.0, 30.0, 40.0
+    curves = [
+        (label, [(x, y) for x, y in series if math.isfinite(x) and math.isfinite(y)])
+        for label, series in curves
+    ]
     pts = [p for _, series in curves for p in series]
     if pts:
         xs = [p[0] for p in pts]

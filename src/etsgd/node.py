@@ -158,8 +158,6 @@ class ComputeNode:
         if not max_lag >= 0:
             raise ProtocolError(f"max_lag must be >= 0, got {max_lag}")
         self.node_id = node_id
-        self.objective = objective
-        self.data = data
         self.budgets = list(budgets)
         self.etas = list(etas)
         self.max_lag = max_lag

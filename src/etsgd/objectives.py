@@ -23,6 +23,23 @@ arithmetic this is the dense step; in floating point the updates are
 summed in another order, so Logistic weights differ from one-step-at-a-
 time updates in the last bits, and depend on the BLAS kernel chosen for
 the block's product, as evaluate_many's do (see EVAL_BATCH).
+
+A Logistic step keeps numpy for the work whose length is the feature
+count: the sample-row copy, W x and the pending overlaps X x.  The work
+whose length is the class count runs in Python floats: the L2 scale, the
+pending correction, and the softmax and label subtract, with math.exp and
+a left-to-right sum.  Against numpy's softmax this moves the last bits:
+the C library's exp differs from numpy's for some arguments, and from 8
+classes on numpy sums the normalizer in 8 partial sums.  So Logistic
+weights also depend on the C library's exp; traces do not.  At a few
+classes this takes the step off the numpy call floor, but the Python
+loops cost about 0.2 us per class, so from about 15 classes up the step
+is slower than with numpy's softmax.  One-node loop on a 2-core host, us
+per step before -> after: 2 features x 2 classes 6.2 -> 4.1, 2 x 10
+6.6 -> 5.9, 2 x 20 6.9 -> 7.6, 784 x 10 9.5 -> 9.3, 784 x 100 32 -> 49,
+784 x 256 94 -> 143.  No workload, golden or CLI default has more than
+10 classes, so there is one path.  Logistic.grad, the dense reference,
+keeps the numpy softmax.
 """
 from __future__ import annotations
 
@@ -303,16 +320,17 @@ class LogisticStepper:
         # views: the steps land in the caller's arrays
         self._W = w.reshape(objective._W_shape)
         self._G = grad_sum.reshape(objective._W_shape)
-        self._features, self._labels, self._m = ds.features, ds.labels, ds.m
+        # Python ints, so a step reads its label without a numpy scalar
+        self._features, self._labels, self._m = ds.features, ds.labels.tolist(), ds.m
         self._classes = objective.classes
         self._l2 = objective.l2
         block = STEP_BLOCK
         self._block = block
         X = np.ones((block, objective.features_dim + 1))
         P = np.empty((block, objective.classes))
+        self._P = P
         # views by pending count, so a step indexes a list instead of slicing
         self._rows = list(X)
-        self._coeffs = list(P)
         self._Xk = [X[:k] for k in range(block + 1)]
         self._Pk = [P[:k] for k in range(block + 1)]
         self._k = 0
@@ -323,7 +341,7 @@ class LogisticStepper:
     def step(self, idx: int, eta: float) -> None:
         if not 0 <= idx < self._m:
             raise ObjectiveError(f"sample index {idx} out of range for m={self._m}")
-        y = int(self._labels[idx])
+        y = self._labels[idx]
         if y >= self._classes:
             raise ObjectiveError(f"label {y} out of range for {self._classes} classes")
         k = self._k
@@ -338,20 +356,29 @@ class LogisticStepper:
         x[:-1] = self._features[idx]
         # the logits of the model with the k pending steps applied; under L2, pending
         # step j enters step k weighed by rho**(k-1-j), and the block's start by rho**k
-        z = np.dot(self._W, x)
+        z = np.dot(self._W, x).tolist()
         if self._l2:
-            z *= self._rho[k]
+            scale = float(self._rho[k])
+            z = [v * scale for v in z]
         if k:
             overlap = np.dot(self._Xk[k], x)
             if self._l2:
                 overlap *= self._rho[k - 1 :: -1]
-            z -= eta * np.dot(overlap, self._Pk[k])
-        p = self._coeffs[k]
-        # softmax and label subtract as Logistic.grad takes them, into the block
-        np.subtract(z, max(z.tolist()), out=p)
-        np.exp(p, out=p)
-        p /= np.add.reduce(p)
+            corr = np.dot(overlap, self._Pk[k]).tolist()
+            z = [v - eta * c for v, c in zip(z, corr)]
+        # softmax and label subtract over the classes in Python floats: exp never
+        # gets a positive argument, and a NaN logit makes every coefficient NaN.  The
+        # loop sums left to right on every Python; sum() compensates from 3.12 on
+        top = max(z)
+        total = 0.0
+        e = []
+        for v in z:
+            v = math.exp(v - top)
+            e.append(v)
+            total += v
+        p = [v / total for v in e]
         p[y] -= 1.0
+        self._P[k] = p
         self._k = k = k + 1
         if k == self._block:
             self.flush()

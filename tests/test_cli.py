@@ -3,6 +3,7 @@ import contextlib
 import functools
 import gzip
 import io
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -156,6 +157,18 @@ class TestRun:
         assert out.read_text().splitlines()[0].startswith("experiment,node,round")
         assert trace.read_text().startswith("# nodes 3")
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_run_writes_finite_svg(self, tmp_path, capsys):
+        # step size 5 on the quadratic diverges: the losses go to inf, the models to nan
+        svg = tmp_path / "d.svg"
+        argv = ["run", "--objective", "quadratic", "--step", "diminishing:5,0",
+                "--iters", "400", "--seed", "0", "--svg", str(svg)]
+        assert run_cli(argv) == 0
+        assert "loss=inf" in capsys.readouterr().out
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        assert not re.search(r"nan|inf", text, re.IGNORECASE)
 
     def test_runtime_failure_maps_to_two(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -336,6 +349,14 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "seed  scheduled_rounds  threshold_broadcasts  reduction" in out
         assert "3 " in out
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_rejected_before_any_run(self, repeats, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran"))
+        assert run_cli(["compare", *QUAD, "--seed", "3", "--repeats", repeats]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --repeats: expected an int >= 1, got {repeats}\n"
+        assert captured.out == ""
 
 
 class TestValidateTrace:

@@ -1,5 +1,6 @@
 """Experiment runner: config validation, metrics, sweeps, exports."""
 import itertools
+import re
 import threading
 
 import numpy as np
@@ -333,6 +334,18 @@ class TestExports:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 3
         assert "losses" in text
+
+    def test_svg_leaves_out_non_finite_points(self, tmp_path):
+        path = tmp_path / "diverged.svg"
+        finite = [(0.0, 2.0), (10.0, 1.0), (20.0, 0.5)]
+        diverged = [(0.0, 1.0), (10.0, float("inf")), (20.0, float("nan")), (30.0, 3.0)]
+        export_svg_lines([("finite", finite), ("diverged", diverged)], path)
+        text = path.read_text()
+        assert not re.search(r"nan|inf", text, re.IGNORECASE)
+        lines = re.findall(r'<polyline points="([^"]*)"', text)
+        assert [len(points.split()) for points in lines] == [3, 2]
+        # the y axis spans the finite losses 0.5 to 3
+        assert ">0.5</text>" in text and ">3</text>" in text
 
     def test_svg_empty_curves(self, tmp_path):
         path = tmp_path / "empty.svg"

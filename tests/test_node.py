@@ -253,6 +253,10 @@ class ReferenceNode(ComputeNode):
     """ComputeNode with the receiver-side multiply: a round's message carries its raw
     gradient sum, and each receiver scales it by its own etas[rnd] on receipt."""
 
+    def __init__(self, node_id, objective, data, *args):
+        super().__init__(node_id, objective, data, *args)
+        self.objective, self.data = objective, data
+
     def on_receive(self, msg: Message) -> None:
         count = self.received[msg.sender]
         self.w -= self.etas[msg.round_index] * msg.payload

@@ -269,6 +269,41 @@ class TestLogisticStepper:
         with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
             stepper.step(1, 0.1)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_label_list_keeps_range_check(self, dtype):
+        # the stepper reads labels from a list of Python ints made when it is built;
+        # load_idx gives uint8 labels, and a label equal to the class count is out
+        ds = Dataset(np.zeros((3, 2)), np.array([1, 0, 2], dtype=dtype))
+        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
+        stepper.step(0, 0.1)
+        stepper.step(1, 0.1)
+        with pytest.raises(ObjectiveError, match="label 2 out of range for 2 classes"):
+            stepper.step(2, 0.1)
+
+    @pytest.mark.parametrize(
+        "logits",
+        [(math.inf, 0.0), (-math.inf, -math.inf), (math.inf, -math.inf), (math.nan, 0.0),
+         (0.0, math.nan), (1.0, math.nan, -math.inf)],
+    )
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_non_finite_logits_make_every_coefficient_nan(self, logits, l2):
+        # the softmax's max shift keeps every exp argument <= 0 or NaN, so no overflow
+        # is raised, and the coefficients turn NaN as Logistic.grad's do
+        obj = Logistic(2, len(logits), l2)
+        ds = Dataset(np.array([[0.5, -1.0], [2.0, 0.0]]), np.array([1, 0]))
+        w = np.zeros(obj.dim)
+        w.reshape(obj._W_shape)[:, -1] = logits  # the bias column: z = W x = logits
+        w_dense = w.copy()
+        grad_sum = np.zeros(obj.dim)
+        stepper = obj.stepper(w, grad_sum, ds)
+        stepper.step(0, 0.1)
+        stepper.flush()
+        with np.errstate(invalid="ignore"):  # numpy warns of inf - inf; the stepper does not
+            g = obj.grad(w_dense, ds, 0)
+        w_dense -= 0.1 * g
+        assert np.isnan(g).all() and np.isnan(w_dense).all()
+        assert np.isnan(grad_sum).all() and np.isnan(w).all()
+
     @pytest.mark.parametrize("l2", [0.0, 0.1])
     def test_new_step_size_lands_the_block_first(self, l2):
         # a block holds the steps of one step size; the node closes a round, and so
