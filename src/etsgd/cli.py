@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import replace
 from typing import Any, Callable, NamedTuple
@@ -225,6 +226,10 @@ def _print_metrics(m: Metrics, file=None) -> None:
             f"finish={nm.finish_ms:.1f}ms",
             file=file,
         )
+    diverged = sum(not math.isfinite(nm.final_loss) for nm in m.nodes)
+    if diverged:
+        print(f"warning: {diverged} of {len(m.nodes)} nodes diverged (non-finite final loss)",
+              file=sys.stderr)
     check = "n/a" if m.delay_check_ok is None else ("ok" if m.delay_check_ok else "FAILED")
     speed = f" speedup={m.speedup:.3f}" if m.speedup is not None else ""
     print(

@@ -9,7 +9,10 @@ sample, evaluate_many(ws, ds), one (loss, accuracy) pair per model over a
 whole dataset, and stepper(w, grad_sum, ds), which hands a compute node
 the object that runs its SGD steps in place: step(idx, eta) takes one
 step, w -= eta * g and grad_sum += g, and flush() makes w and grad_sum
-show every step taken.
+show every step taken.  A stepper's second method, mix_step(idx, eta,
+scale, shift), is the threshold baseline's step: w <- scale * w + shift -
+eta * g at once, after any pending steps have landed, with grad_sum left
+alone.
 
 MeanQuadratic's stepper applies each step at once.  Logistic's defers
 them, STEP_BLOCK at a time.  At one sample the softmax gradient is the
@@ -22,7 +25,10 @@ coefficients by powers of rho, and the flush scales W by rho^k.  In exact
 arithmetic this is the dense step; in floating point the updates are
 summed in another order, so Logistic weights differ from one-step-at-a-
 time updates in the last bits, and depend on the BLAS kernel chosen for
-the block's product, as evaluate_many's do (see EVAL_BATCH).
+the block's product, as evaluate_many's do (see EVAL_BATCH).  Logistic's
+mix_step folds eta * l2 into the scale and eta into the coefficients, and
+lands the rank-1 part with one product of the (classes x 1) coefficient
+column and the (1 x features+1) sample row.
 
 A Logistic step keeps numpy for the work whose length is the feature
 count: the sample-row copy, W x and the pending overlaps X x.  The work
@@ -157,10 +163,12 @@ class MeanQuadratic:
 
     def evaluate_many(self, ws: list[np.ndarray], ds: Dataset) -> list[tuple[float, None]]:
         out = []
-        for w in ws:
-            self._check(w, ds, 0)
-            diff = w[None, :] - ds.features
-            out.append((0.5 * float(np.mean(np.sum(diff * diff, axis=1))), None))
+        # a diverged model's loss is inf or NaN, which is the right answer: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in ws:
+                self._check(w, ds, 0)
+                diff = w[None, :] - ds.features
+                out.append((0.5 * float(np.mean(np.sum(diff * diff, axis=1))), None))
         return out
 
     def loss(self, w: np.ndarray, ds: Dataset) -> float:
@@ -244,27 +252,29 @@ class Logistic:
             self._check(w, ds, 0)
         rows = np.arange(ds.m)
         out = []
-        for first in range(0, len(ws), EVAL_BATCH):
-            chunk = ws[first : first + EVAL_BATCH]
-            Ws = [w.reshape(self.classes, self.features_dim + 1) for w in chunk]
-            # one GEMM per chunk: model b owns columns b*classes.. of the
-            # product, and adding its bias copies them out as the C-ordered
-            # (m, classes) array a one-model product gives
-            stacked = ds.features @ np.concatenate([W[:, :-1] for W in Ws]).T
-            for b, (w, W) in enumerate(zip(chunk, Ws)):
-                logits = stacked[:, b * self.classes : (b + 1) * self.classes] + W[:, -1]
-                top = logits.argmax(axis=1)
-                zmax = logits[rows, top]
-                # log-sum-exp with the max term split out through log1p, and the
-                # (zmax - picked) cancellation done before adding the small term, so
-                # confidently-correct samples keep full relative precision
-                rest = np.exp(logits - zmax[:, None])
-                rest[rows, top] = 0.0
-                picked = logits[rows, ds.labels]
-                ce = float(np.mean((zmax - picked) + np.log1p(rest.sum(axis=1))))
-                if self.l2:
-                    ce += 0.5 * self.l2 * float(w @ w)
-                out.append((ce, float(np.mean(top == ds.labels))))
+        # a diverged model's loss is inf or NaN, which is the right answer: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in range(0, len(ws), EVAL_BATCH):
+                chunk = ws[first : first + EVAL_BATCH]
+                Ws = [w.reshape(self.classes, self.features_dim + 1) for w in chunk]
+                # one GEMM per chunk: model b owns columns b*classes.. of the
+                # product, and adding its bias copies them out as the C-ordered
+                # (m, classes) array a one-model product gives
+                stacked = ds.features @ np.concatenate([W[:, :-1] for W in Ws]).T
+                for b, (w, W) in enumerate(zip(chunk, Ws)):
+                    logits = stacked[:, b * self.classes : (b + 1) * self.classes] + W[:, -1]
+                    top = logits.argmax(axis=1)
+                    zmax = logits[rows, top]
+                    # log-sum-exp with the max term split out through log1p, and the
+                    # (zmax - picked) cancellation done before adding the small term, so
+                    # confidently-correct samples keep full relative precision
+                    rest = np.exp(logits - zmax[:, None])
+                    rest[rows, top] = 0.0
+                    picked = logits[rows, ds.labels]
+                    ce = float(np.mean((zmax - picked) + np.log1p(rest.sum(axis=1))))
+                    if self.l2:
+                        ce += 0.5 * self.l2 * float(w @ w)
+                    out.append((ce, float(np.mean(top == ds.labels))))
         return out
 
     def loss(self, w: np.ndarray, ds: Dataset) -> float:
@@ -299,6 +309,14 @@ class QuadraticStepper:
         self.w -= eta * g
         self.grad_sum += g
 
+    def mix_step(self, idx: int, eta: float, scale: float, shift: np.ndarray) -> None:
+        """w <- scale * w + shift - eta * g(w), with g at sample idx; grad_sum stays."""
+        g = self.objective.grad(self.w, self.data, idx)
+        w = self.w
+        w *= scale
+        w += shift
+        w -= eta * g
+
     def flush(self) -> None:
         pass
 
@@ -318,6 +336,7 @@ class LogisticStepper:
                  ds: Dataset):
         objective._check(w, ds, 0)
         # views: the steps land in the caller's arrays
+        self._w = w
         self._W = w.reshape(objective._W_shape)
         self._G = grad_sum.reshape(objective._W_shape)
         # Python ints, so a step reads its label without a numpy scalar
@@ -329,6 +348,8 @@ class LogisticStepper:
         X = np.ones((block, objective.features_dim + 1))
         P = np.empty((block, objective.classes))
         self._P = P
+        # P's first row as a (classes x 1) column, for mix_step's rank-1 product
+        self._column = P[:1].T
         # views by pending count, so a step indexes a list instead of slicing
         self._rows = list(X)
         self._Xk = [X[:k] for k in range(block + 1)]
@@ -341,9 +362,6 @@ class LogisticStepper:
     def step(self, idx: int, eta: float) -> None:
         if not 0 <= idx < self._m:
             raise ObjectiveError(f"sample index {idx} out of range for m={self._m}")
-        y = self._labels[idx]
-        if y >= self._classes:
-            raise ObjectiveError(f"label {y} out of range for {self._classes} classes")
         k = self._k
         if eta != self._eta:
             if k:
@@ -366,9 +384,39 @@ class LogisticStepper:
                 overlap *= self._rho[k - 1 :: -1]
             corr = np.dot(overlap, self._Pk[k]).tolist()
             z = [v - eta * c for v, c in zip(z, corr)]
-        # softmax and label subtract over the classes in Python floats: exp never
-        # gets a positive argument, and a NaN logit makes every coefficient NaN.  The
-        # loop sums left to right on every Python; sum() compensates from 3.12 on
+        self._P[k] = self._coefficients(z, self._labels[idx])
+        self._k = k = k + 1
+        if k == self._block:
+            self.flush()
+
+    def mix_step(self, idx: int, eta: float, scale: float, shift: np.ndarray) -> None:
+        """w <- scale * w + shift - eta * g(w) at once, with g at sample idx; grad_sum stays.
+
+        The pending steps land first.  The L2 part of eta * g, eta * l2 * w,
+        folds into the scale, and eta into the coefficients, so the rank-1
+        part lands as one product of the (classes x 1) coefficient column and
+        the (1 x features+1) sample row.
+        """
+        if not 0 <= idx < self._m:
+            raise ObjectiveError(f"sample index {idx} out of range for m={self._m}")
+        if self._k:
+            self.flush()
+        x = self._rows[0]
+        x[:-1] = self._features[idx]
+        p = self._coefficients(np.dot(self._W, x).tolist(), self._labels[idx])
+        self._P[0] = [-eta * v for v in p]
+        w = self._w
+        w *= scale - eta * self._l2
+        w += shift
+        self._W += np.dot(self._column, self._Xk[1])
+
+    def _coefficients(self, z: list, y: int) -> list:
+        """The softmax of the logits z less 1 at label y, in Python floats."""
+        if y >= self._classes:
+            raise ObjectiveError(f"label {y} out of range for {self._classes} classes")
+        # exp never gets a positive argument, and a NaN logit makes every
+        # coefficient NaN.  The loop sums left to right on every Python; sum()
+        # compensates from 3.12 on
         top = max(z)
         total = 0.0
         e = []
@@ -378,10 +426,7 @@ class LogisticStepper:
             total += v
         p = [v / total for v in e]
         p[y] -= 1.0
-        self._P[k] = p
-        self._k = k = k + 1
-        if k == self._block:
-            self.flush()
+        return p
 
     def flush(self) -> None:
         """Land the pending steps: one product D of their coefficients and rows."""

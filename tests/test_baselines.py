@@ -1,12 +1,16 @@
 """The drift-triggered gossip baseline, and a serial SGD loop that pins a one-node
 quadratic run bit for bit and a one-node Logistic run to rounding."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from etsgd.baselines import ThresholdNode, default_threshold_schedules
 from etsgd.node import ComputeNode, Message, ProtocolError
 from etsgd.objectives import Dataset, Logistic, MeanQuadratic, gaussian_cloud, synthetic_blobs
-from etsgd.rngs import SAMPLE_STREAM, stream
+from etsgd.rngs import SAMPLE_STREAM, sample_draws, stream
 from etsgd.schedules import (
     DampedInverseTime,
     Diminishing,
@@ -166,3 +170,77 @@ class TestThresholdNode:
         assert len(applies) == result.messages_sent
         # each recorded completion is one broadcast of two messages
         assert result.messages_sent == 2 * sum(result.rounds_completed)
+
+    def test_model_is_updated_in_place(self):
+        # every step and every broadcast leaves self.w the same array; a payload is a copy
+        node = make_threshold_node(coeff=1e-6, neighbor_ids=(1, 3))
+        w = node.w
+        for t in range(6):
+            if t == 2:
+                node.on_receive(Message(3, np.array([0.5, 1.5]), 0))
+            fired, outbox = node.advance()[2:]
+            assert fired and outbox[0][1].payload is not w
+            assert node.w is w
+
+    def test_second_model_from_a_neighbor_replaces_the_first(self):
+        # gradient zero at w=0, so one step moves w by beta * S, S the held models' sum
+        node = make_threshold_node(data=Dataset(np.zeros((1, 2))), neighbor_ids=(1, 3))
+        first, second, other = np.array([4.0, -4.0]), np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        node.on_receive(Message(1, first, 0))
+        node.on_receive(Message(3, other, 0))
+        node.on_receive(Message(1, second, 1))
+        assert node.neighbor_models == {1: second, 3: other}
+        node.advance()
+        assert np.allclose(node.w, 0.02252 * (second + other))
+
+
+@st.composite
+def mixing_runs(draw):
+    """An objective, a degree, step and mixing rates, and neighbor models delivered at
+    drawn steps, a neighbor's later model replacing its earlier one."""
+    kind = draw(st.sampled_from(["logistic", "quadratic"]), label="objective")
+    degree = draw(st.integers(0, 4), label="degree")
+    steps = draw(st.integers(1, 40), label="steps")
+    alpha0 = draw(st.floats(1e-3, 0.5), label="alpha0")
+    # deg * beta < 1, so the pull contracts toward the neighbors' models
+    beta0 = draw(st.floats(1e-3, 0.2), label="beta0")
+    deliveries = []
+    if degree:
+        deliveries = draw(st.lists(st.tuples(st.integers(0, steps), st.integers(1, degree)),
+                                   max_size=8), label="deliveries (step, neighbor)")
+    return kind, degree, steps, alpha0, beta0, deliveries, draw(st.integers(0, 2**16))
+
+
+@given(run=mixing_runs(), shape=st.tuples(st.integers(1, 12), st.integers(2, 10)),
+       l2=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+def test_threshold_step_matches_dense_update(run, shape, l2):
+    # the node's one in-place update through mix_step, against the dense
+    # w - alpha * grad(w) + beta * sum_e (w_e - w) over the models held at each step
+    kind, degree, steps, alpha0, beta0, deliveries, seed = run
+    rng = np.random.default_rng(seed)
+    features, classes = shape
+    if kind == "logistic":
+        ds = Dataset(rng.standard_normal((40, features)) / math.sqrt(features),
+                     rng.integers(0, classes, 40))
+        objective = Logistic(features, classes, l2)
+    else:
+        ds = Dataset(rng.standard_normal((40, features)))
+        objective = MeanQuadratic(features)
+    step_sched, mix_sched = Diminishing(alpha0, 0.1), Diminishing(beta0, 0.1)
+    node = ThresholdNode(0, objective, ds, steps, step_sched, mix_sched,
+                         range(1, degree + 1), np.random.default_rng(seed))
+    samples = sample_draws(np.random.default_rng(seed), ds.m, steps)
+    held = {e: np.zeros(objective.dim) for e in range(1, degree + 1)}
+    w = np.zeros(objective.dim)
+    for t in range(steps):
+        for _, sender in [d for d in deliveries if d[0] == t]:
+            model = rng.standard_normal(objective.dim)
+            node.on_receive(Message(sender, model, 0))
+            held[sender] = model
+        pull = np.zeros(objective.dim)
+        for wm in held.values():
+            pull += wm - w
+        g = objective.grad(w, ds, next(samples))
+        w = w - step_size(step_sched, t) * g + step_size(mix_sched, t) * pull
+        node.advance()
+        assert_close_to_dense(node.w, w)

@@ -6,6 +6,7 @@ import io
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,21 @@ class TestRun:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert not re.search(r"nan|inf", text, re.IGNORECASE)
+
+    def test_diverged_run_says_so_without_numpy_warnings(self, capsys):
+        # the final losses are non-finite; that is the answer, not a numpy fault
+        argv = ["run", "--objective", "quadratic", "--step", "diminishing:5,0",
+                "--iters", "400", "--seed", "0"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "warning: 5 of 5 nodes diverged (non-finite final loss)" in err
+
+    def test_finite_run_reports_no_divergence(self, capsys):
+        assert run_cli(["run", *QUAD, "--seed", "1"]) == 0
+        assert "diverged" not in capsys.readouterr().err
 
     def test_runtime_failure_maps_to_two(self, capsys, monkeypatch):
         def boom(*a, **k):

@@ -10,7 +10,11 @@ and CSVs of the three Logistic configs also depend on the BLAS kernel
 chosen for the product that lands a block of STEP_BLOCK steps, as the
 EVAL_BATCH note says of evaluation, and on the C library's exp, which a
 stepper's softmax calls through math.exp; their traces do not, since
-virtual time and the lag gate never read model values.
+virtual time and the lag gate never read model values.  The threshold
+config's weights and CSV depend on the same exp and on the rank-1 product
+through which its stepper lands each step (LogisticStepper.mix_step); its
+trace reads the model values only through the drift gate, so it keeps its
+bytes unless a broadcast sits at an exact tie.
 """
 import hashlib
 import threading
@@ -94,9 +98,9 @@ GOLDEN = {
         "49a3cb6affdd1703eee4eb04f30611873be3cb49a2000edaf8c834493c6610f7",
     ),
     threshold_ring: (
-        "abb22a7a554bdc84a3d498b1e875fa2aadd47131005838eaf083ba0d3e43f432",
+        "f8424e5b4736a01f3b7cb193227780bedc45bcfde649ef5d6084cdf712a67d15",
         "50c440d5eda5b4c34087ced3d0c7071547b3c93bade86539123535d6c13f3922",
-        "38d56cd85dc81a091647706a87b824301a95c3cf5be1f3907164b5deccfe8f58",
+        "a9c2a914b8ec14cf7de1c5dd7e385e7bfff4bd585ae6a5178f018856d1e8676c",
     ),
 }
 

@@ -269,6 +269,33 @@ class TestLogisticStepper:
         with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
             stepper.step(1, 0.1)
 
+    def test_mix_step_checks_index_and_label(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([0, 5]))
+        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
+        with pytest.raises(ObjectiveError, match="sample index 2 out of range for m=2"):
+            stepper.mix_step(2, 0.1, 1.0, np.zeros(6))
+        with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
+            stepper.mix_step(1, 0.1, 1.0, np.zeros(6))
+
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_mix_step_lands_the_block_first_and_keeps_grad_sum(self, l2):
+        # scale * w + shift - eta * g(w), with g read at the model the pending steps reach
+        obj = Logistic(3, 4, l2)
+        ds = synthetic_blobs(2, 30, 3, 4, 2.0)
+        w, grad_sum = np.zeros(obj.dim), np.zeros(obj.dim)
+        stepper = obj.stepper(w, grad_sum, ds)
+        w_dense, sum_dense = np.zeros(obj.dim), np.zeros(obj.dim)
+        shift = np.linspace(-0.3, 0.3, obj.dim)
+        for idx in range(3):
+            stepper.step(idx, 0.2)
+            g = obj.grad(w_dense, ds, idx)
+            w_dense -= 0.2 * g
+            sum_dense += g
+        stepper.mix_step(3, 0.1, 0.9, shift)
+        w_dense = 0.9 * w_dense + shift - 0.1 * obj.grad(w_dense, ds, 3)
+        assert_close_to_dense(w, w_dense)
+        assert_close_to_dense(grad_sum, sum_dense)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     def test_label_list_keeps_range_check(self, dtype):
         # the stepper reads labels from a list of Python ints made when it is built;
