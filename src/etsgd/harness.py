@@ -2,9 +2,10 @@
 
 A run is described by a plain-data ExperimentConfig, so configs can come
 from code, from a config file, or from command-line flags without three
-different shapes.  run_experiment builds the task, drives the simulator,
-verifies the recorded trace against the configured lag bound, and packs
-everything into Metrics.  Runs are deterministic per seed: identical
+different shapes.  run_experiment builds the task and, for a scheduled
+run, its one Layout, drives the simulator, verifies the recorded trace
+against the configured lag bound, and packs everything, the layout
+included, into Metrics.  Runs are deterministic per seed: identical
 configs produce byte-identical CSV, SVG, and trace exports.
 
 Round snapshots are evaluated EVAL_BATCH at a time.  When the held-out
@@ -19,6 +20,7 @@ worker finishes its last batches.
 """
 from __future__ import annotations
 
+import csv
 import math
 import operator
 from collections import deque
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import consistency
 from .baselines import ThresholdNode, default_threshold_schedules
-from .node import ComputeNode, assignment_from_budgets
+from .node import ComputeNode, Layout
 from .objectives import (
     EVAL_BATCH,
     EVAL_THREAD_MIN,
@@ -161,6 +163,8 @@ class Metrics:
     connected: bool
     delay_check_ok: bool | None
     trace: Trace | None = None
+    # the budgets, step sizes and slot layout of a scheduled run; None for threshold runs
+    layout: Layout | None = None
 
 
 def build_topology(cfg: ExperimentConfig) -> Topology:
@@ -199,20 +203,21 @@ def build_task(cfg: ExperimentConfig):
     return Logistic(train.dim, classes, cfg.l2), train, train
 
 
-def planned_budgets(cfg: ExperimentConfig) -> tuple[list[int], list[float]]:
-    """Per-round step budgets and step sizes one node will execute.
+def planned_budgets(cfg: ExperimentConfig) -> Layout:
+    """The Layout of a scheduled run: every node gets the same budgets and step sizes.
 
     The budgets are round_plan's sizes for the per-node iteration count;
     each round's step size is the step schedule evaluated at round_plan's
     start, the node's own step count when the round begins.  It is not the
     round's first global iteration: on a ring of 5 nodes under
-    linear:10,1,0, round 1's rate is read at step 10, while TimelineMap
-    puts that round's first step at global iteration 50.
+    linear:10,1,0, round 1's rate is read at step 10, while the layout's
+    assignment puts that round's first step at global iteration 50.
     """
     sample_sched = parse_sample_schedule(cfg.sample_schedule)
     step_sched = parse_step_schedule(cfg.step_schedule)
     budgets, starts = round_plan(sample_sched, cfg.per_node_iterations)
-    return budgets, [step_size(step_sched, s) for s in starts]
+    etas = [step_size(step_sched, s) for s in starts]
+    return Layout((budgets,) * cfg.n, (etas,) * cfg.n)
 
 
 def run_experiment(
@@ -223,9 +228,11 @@ def run_experiment(
 ) -> Metrics:
     """Run one configured experiment and collect its metrics.
 
-    Scheduled runs assert the protocol's round arithmetic and verify the
-    recorded trace against the configured lag bound; a verification
-    failure is a defect, surfaced in delay_check_ok rather than raised.
+    A scheduled run builds its Layout once, gives each node its lists,
+    asserts that every node completed its layout's rounds, verifies the
+    recorded trace against the configured lag bound, and returns the
+    layout in Metrics.layout; a verification failure is a defect,
+    surfaced in delay_check_ok rather than raised.
     """
     cfg.validate()
     topo = build_topology(cfg)
@@ -233,15 +240,14 @@ def run_experiment(
     k = cfg.per_node_iterations
 
     if cfg.algorithm == "scheduled":
-        budgets, etas = planned_budgets(cfg)
-        expected_rounds = len(budgets)
+        layout = planned_budgets(cfg)
         nodes = [
             ComputeNode(
                 i,
                 objective,
                 train,
-                budgets,
-                etas,
+                layout.budgets[i],
+                layout.etas[i],
                 neighbors(topo, i),
                 cfg.max_lag,
                 stream(cfg.seed, SAMPLE_STREAM, i),
@@ -249,6 +255,7 @@ def run_experiment(
             for i in range(cfg.n)
         ]
     else:
+        layout = None
         alpha, beta = default_threshold_schedules()
         nodes = [
             ThresholdNode(
@@ -326,17 +333,14 @@ def run_experiment(
             # batches still queued when the run raised are dropped
             worker.shutdown(cancel_futures=True)
 
-    if cfg.algorithm == "scheduled":
-        for i, done in enumerate(result.rounds_completed):
-            if done != expected_rounds:
+    delay_ok = None
+    if layout is not None:
+        for i, (done, budgets) in enumerate(zip(result.rounds_completed, layout.budgets)):
+            if done != len(budgets):
                 raise RuntimeError(
-                    f"node {i} completed {done} rounds, schedule demands {expected_rounds}"
+                    f"node {i} completed {done} rounds, schedule demands {len(budgets)}"
                 )
         delay_ok = consistency.verify_round_delay(result.trace, cfg.max_lag).ok
-        rounds_total = expected_rounds
-    else:
-        delay_ok = None
-        rounds_total = max(result.rounds_completed, default=0)
 
     node_metrics = []
     for i, (node, (loss, acc)) in enumerate(zip(nodes, finals)):
@@ -363,7 +367,7 @@ def run_experiment(
     return Metrics(
         config=cfg,
         nodes=node_metrics,
-        rounds_total=rounds_total,
+        rounds_total=max(result.rounds_completed, default=0),
         broadcasts_total=sum(result.rounds_completed),
         messages=result.messages_sent,
         duration_ms=result.duration_ms,
@@ -372,13 +376,13 @@ def run_experiment(
         connected=is_connected(topo),
         delay_check_ok=delay_ok,
         trace=result.trace if keep_trace else None,
+        layout=layout,
     )
 
 
 def run_timeline(cfg: ExperimentConfig) -> consistency.TimelineMap:
-    """The global iteration labeling matching a scheduled run of this config."""
-    budgets, _ = planned_budgets(cfg)
-    return consistency.TimelineMap(assignment_from_budgets([budgets] * cfg.n))
+    """The global iteration labeling of a scheduled run of this config."""
+    return consistency.TimelineMap(planned_budgets(cfg).assignment)
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metrics]:
@@ -428,45 +432,28 @@ def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metric
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def export_csv(metrics, path: str | Path) -> None:
     """Write metrics (one or a list) as CSV with a fixed column order.
 
     Each node contributes its evaluation-curve rows, or a single final
-    row when no curve was recorded.  Output is deterministic byte for
+    row when no curve was recorded.  The csv module writes the fields:
+    floats as repr, None as an empty field, and an experiment name holding
+    a comma, quote or line break quoted.  Output is deterministic byte for
     byte given equal metrics.
     """
     if isinstance(metrics, Metrics):
         metrics = [metrics]
-    lines = [CSV_COLUMNS]
-    for m in metrics:
-        for nm in m.nodes:
-            rows = nm.curve or [(nm.rounds - 1, nm.iterations, nm.final_loss, nm.final_accuracy)]
-            for rnd, it, loss, acc in rows:
-                lines.append(
-                    ",".join(
-                        (
-                            m.config.name,
-                            str(nm.node),
-                            str(rnd),
-                            str(it),
-                            _fmt(loss),
-                            _fmt(acc),
-                            str(nm.rounds),
-                            str(m.messages),
-                            _fmt(m.duration_ms),
-                            _fmt(m.speedup),
-                        )
-                    )
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(CSV_COLUMNS.split(","))
+        for m in metrics:
+            for nm in m.nodes:
+                rows = nm.curve or [(nm.rounds - 1, nm.iterations, nm.final_loss, nm.final_accuracy)]
+                out.writerows(
+                    (m.config.name, nm.node, rnd, it, loss, acc, nm.rounds,
+                     m.messages, m.duration_ms, m.speedup)
+                    for rnd, it, loss, acc in rows
                 )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def loss_curves(m: Metrics) -> list[tuple[str, list[tuple[float, float]]]]:
@@ -485,7 +472,11 @@ def export_svg_lines(curves, path: str | Path, title: str = "") -> None:
     number formatting.  Good enough to eyeball convergence, not a plotting
     library.  The axes span the finite points only, and a point with a
     non-finite coordinate (a diverged run's loss) is left out of its line.
+    The title and labels are escaped as XML text.
     """
+    # imported here: it loads urllib, http and email, about 7 MiB of peak RSS
+    from xml.sax.saxutils import escape
+
     width, height = 640.0, 400.0
     left, right, top, bottom = 60.0, 20.0, 30.0, 40.0
     curves = [
@@ -524,7 +515,7 @@ def export_svg_lines(curves, path: str | Path, title: str = "") -> None:
     if title:
         out.append(
             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
     out.append(
         f'<text x="{left:.1f}" y="{height - bottom + 16:.1f}" text-anchor="middle" '
@@ -549,7 +540,7 @@ def export_svg_lines(curves, path: str | Path, title: str = "") -> None:
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(
             f'<text x="{width - right - 4:.1f}" y="{top + 14 * (i + 1):.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{color}">{escape(label)}</text>'
         )
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n")

@@ -20,10 +20,11 @@ lag gate never read model values.
 
 The slot assignment lives here too: it names the node that runs each
 step slot of each round, which is the global iteration labeling the
-consistency checks use.  assignment_from_budgets lays out the per-node
-round budgets of a harness run; setup draws the paper's randomized
-assignment, in which node c wins each slot with probability p[c], for
-round sizes that schedules.round_plan gives.
+consistency checks use.  A harness run's Layout holds each node's round
+budgets and step sizes; the nodes take theirs from it, and its assignment,
+built on first read by assignment_from_budgets, is the run's slot layout.
+setup draws the paper's randomized assignment, in which node c wins each
+slot with probability p[c], for round sizes that schedules.round_plan gives.
 """
 from __future__ import annotations
 
@@ -82,10 +83,6 @@ class Assignment:
         """Global iteration index at which each round begins."""
         return tuple(accumulate(self.round_sizes, initial=0))[:-1]
 
-    def count(self, round_index: int, node: int) -> int:
-        """The node's step budget in one round."""
-        return self.slots[round_index].count(node)
-
 
 def setup(n: int, sizes, p, seed: int) -> Assignment:
     """Draw the owners of rounds of the given sizes; node c wins each slot with probability p[c]."""
@@ -127,6 +124,19 @@ def assignment_from_budgets(budgets_by_node) -> Assignment:
                     remaining[c] -= 1
         slots.append(tuple(row))
     return Assignment(n, tuple(slots))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """One scheduled run's plan: budgets[i] and etas[i] are node i's per-round budgets and step sizes."""
+
+    budgets: tuple[list[int], ...]
+    etas: tuple[list[float], ...]
+
+    @cached_property
+    def assignment(self) -> Assignment:
+        """The run's slot layout, built on first read: runs themselves never need it."""
+        return assignment_from_budgets(self.budgets)
 
 
 class ComputeNode:

@@ -38,14 +38,11 @@ a left-to-right sum.  Against numpy's softmax this moves the last bits:
 the C library's exp differs from numpy's for some arguments, and from 8
 classes on numpy sums the normalizer in 8 partial sums.  So Logistic
 weights also depend on the C library's exp; traces do not.  At a few
-classes this takes the step off the numpy call floor, but the Python
-loops cost about 0.2 us per class, so from about 15 classes up the step
-is slower than with numpy's softmax.  One-node loop on a 2-core host, us
-per step before -> after: 2 features x 2 classes 6.2 -> 4.1, 2 x 10
-6.6 -> 5.9, 2 x 20 6.9 -> 7.6, 784 x 10 9.5 -> 9.3, 784 x 100 32 -> 49,
-784 x 256 94 -> 143.  No workload, golden or CLI default has more than
-10 classes, so there is one path.  Logistic.grad, the dense reference,
-keeps the numpy softmax.
+classes this takes the step off the numpy call floor; the Python loops
+cost per class, so from about 15 classes up the step is slower than with
+numpy's softmax (timings in CHANGES.md).  No workload, golden or CLI
+default has more than 10 classes, so there is one path.  Logistic.grad,
+the dense reference, keeps the numpy softmax.
 """
 from __future__ import annotations
 
@@ -63,27 +60,21 @@ from .rngs import DATA_STREAM, stream
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
-# models per matrix product in Logistic.evaluate_many; 16 ten-class models
-# on 3000 samples make a 3.7 MiB product.  A model keeps the bits of its
-# one-model product only where the BLAS picks agreeing kernels for both
-# widths: with OpenBLAS 0.3 (Haswell) up to 20 ten-class models do, while
-# 2 or 3 classes over 784 features move in the last place
+# models per matrix product in Logistic.evaluate_many, which bounds the
+# product's memory.  A model keeps the bits of its one-model product only
+# where the BLAS picks agreeing kernels for both widths, so evaluated
+# values may move in the last place with the batch (CHANGES.md)
 EVAL_BATCH = 16
 
-# pending Logistic steps a stepper lands with one matrix product.  On a
-# 784-feature, 10-class one-node loop (2-core host, one BLAS thread) a step
-# took 17.7 / 12.9 / 10.9 / 10.3 / 11.0 / 11.3 us at blocks of 1 / 2 / 4 /
-# 8 / 16 / 32, against 22.6 us for the dense step
+# pending Logistic steps a stepper lands with one matrix product: a longer
+# block shares one product among more steps, but each step's pending
+# correction grows with it; 8 was fastest on 784 x 10 (CHANGES.md)
 STEP_BLOCK = 8
 
 # held-out rows * features from which the harness evaluates round snapshot
 # batches on a worker thread while the simulation keeps stepping.  The worker
 # gains only where a batch's GEMM and ufunc loops, which release the GIL,
-# outweigh the GIL handoffs of its Python-level steps.  Measured on a 2-core
-# host (ring n=5, 10 classes, eval every round, one BLAS thread, 10 paired
-# runs each): 1000 x 784 ran 1.08x faster on the worker and 3000 x 784 1.25x,
-# each in 9 of 10 pairs; from 300 x 784 to 700 x 784 the outcome went either
-# way with the shape (0.90x to 1.10x), and 1000 x 2 blob sets were at parity
+# outweigh the GIL handoffs of its Python-level steps (CHANGES.md)
 EVAL_THREAD_MIN = 750_000
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: flag parsing, config files, subcommands, exit codes."""
 import contextlib
+import csv
 import functools
 import gzip
 import io
@@ -8,13 +9,14 @@ import struct
 import tempfile
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etsgd import cli
-from etsgd.harness import ExperimentConfig
+from etsgd.harness import CSV_COLUMNS, ExperimentConfig
 from etsgd.simnet import SimError, Trace
 
 
@@ -159,7 +161,23 @@ class TestRun:
         assert trace.read_text().startswith("# nodes 3")
         assert svg.read_text().startswith("<svg")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_svg_title_escapes_the_name(self, tmp_path):
+        svg, name = tmp_path / "t.svg", 'a<b & "c"'
+        argv = ["run", "--objective", "quadratic", "--iters", "40", "--seed", "0",
+                "--name", name, "--svg", str(svg)]
+        assert run_cli(argv) == 0
+        texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert name in texts
+
+    def test_csv_quotes_the_name(self, tmp_path):
+        out, name = tmp_path / "t.csv", 'a,b "c"\nd'
+        argv = ["run", *QUAD, "--seed", "0", "--name", name, "--out", str(out)]
+        assert run_cli(argv) == 0
+        with open(out, newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == CSV_COLUMNS.split(",")
+        assert len(rows) == 3 and all(len(row) == len(header) and row[0] == name for row in rows)
+
     def test_diverged_run_writes_finite_svg(self, tmp_path, capsys):
         # step size 5 on the quadratic diverges: the losses go to inf, the models to nan
         svg = tmp_path / "d.svg"

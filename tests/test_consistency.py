@@ -77,7 +77,7 @@ class TestTimelineMap:
                     image = set()
                     for k in range(rounds):
                         for node in range(n):
-                            for h in range(1, asg.count(k, node) + 1):
+                            for h in range(1, asg.slots[k].count(node) + 1):
                                 t = tm.global_index(node, k, h)
                                 assert tm.locate(t) == (node, k, h)
                                 image.add(t)

@@ -41,9 +41,9 @@ class TestAssignment:
         asg = Assignment(2, ((0, 1, 0), (1, 1)))
         assert asg.round_sizes == (3, 2)
         assert asg.starts == (0, 3)
-        assert asg.count(0, 0) == 2
-        assert asg.count(1, 0) == 0
-        assert [asg.count(i, 1) for i in range(2)] == [1, 2]
+        assert asg.slots[0].count(0) == 2
+        assert asg.slots[1].count(0) == 0
+        assert [asg.slots[i].count(1) for i in range(2)] == [1, 2]
         assert Assignment(2, ()).starts == ()
 
     def test_owner_range_checked(self):
@@ -82,13 +82,13 @@ class TestAssignment:
         assert asg.slots == ((0, 1, 2, 0, 1, 2),) * 2
         for rnd in range(2):
             for node in range(3):
-                assert asg.count(rnd, node) == 2
+                assert asg.slots[rnd].count(node) == 2
 
     def test_from_budgets_interleaves_and_pads(self):
         asg = assignment_from_budgets([[2, 1], [1]])
         assert asg.slots == ((0, 1, 0), (0,))
-        assert [asg.count(i, 0) for i in range(2)] == [2, 1]
-        assert [asg.count(i, 1) for i in range(2)] == [1, 0]
+        assert [asg.slots[i].count(0) for i in range(2)] == [2, 1]
+        assert [asg.slots[i].count(1) for i in range(2)] == [1, 0]
 
     def test_from_budgets_validation(self):
         with pytest.raises(AssignmentError):
