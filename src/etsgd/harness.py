@@ -51,7 +51,15 @@ from .schedules import (
 from .simnet import DelayModel, Simulation, Trace
 from .topology import Topology, complete, is_connected, line, load_edge_list, neighbors, ring
 
-SWEEP_AXES = ("n", "d", "K", "constant-s", "threshold-coeff")
+# sweep axis -> the config fields that one value of it sets
+_SWEEP_FIELDS = {
+    "n": lambda v: {"n": v},
+    "d": lambda v: {"max_lag": v},
+    "K": lambda v: {"iterations": v, "total_iterations": None},
+    "constant-s": lambda v: {"sample_schedule": f"const:{v}"},
+    "threshold-coeff": lambda v: {"algorithm": "threshold", "threshold_coeff": float(v)},
+}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 CSV_COLUMNS = "experiment,node,round,iter,loss,accuracy,rounds_total,messages,duration_ms,speedup"
 
@@ -402,18 +410,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metric
                 v = operator.index(v)
             except TypeError:
                 raise ConfigError(f"sweep axis {axis!r} takes integers, got {v!r}") from None
-        if axis == "n":
-            points.append(replace(cfg, name=name, n=v))
-        elif axis == "d":
-            points.append(replace(cfg, name=name, max_lag=v))
-        elif axis == "K":
-            points.append(replace(cfg, name=name, iterations=v, total_iterations=None))
-        elif axis == "constant-s":
-            points.append(replace(cfg, name=name, sample_schedule=f"const:{v}"))
-        else:
-            points.append(
-                replace(cfg, name=name, algorithm="threshold", threshold_coeff=float(v))
-            )
+        points.append(replace(cfg, name=name, **_SWEEP_FIELDS[axis](v)))
 
     reference = None
     if axis == "n":

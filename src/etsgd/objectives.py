@@ -200,39 +200,27 @@ class Logistic:
         self.classes = classes
         self.l2 = l2
         self.dim = classes * (features_dim + 1)
-        self._w_shape = (self.dim,)
         self._W_shape = (classes, features_dim + 1)
-        # grad's sample row with the bias input 1 after it
-        self._xt = np.ones(features_dim + 1)
 
     def grad(self, w: np.ndarray, ds: Dataset, idx: int) -> np.ndarray:
-        """The gradient at one sample, as a new array.
+        """The gradient at one sample, as a new array: the plain dense reference.
 
-        The sample row is copied into a buffer this object keeps, so grad
-        must not be called from two threads at once.
+        No run calls it; the tests hold LogisticStepper to it.
         """
-        features, labels = ds.features, ds.labels
-        if not (
-            w.shape == self._w_shape and labels is not None
-            and features.shape[1] == self.features_dim and 0 <= idx < features.shape[0]
-        ):
-            self._check(w, ds, idx)
-        y = int(labels[idx])
+        self._check(w, ds, idx)
+        y = int(ds.labels[idx])
         if y >= self.classes:
             raise ObjectiveError(f"label {y} out of range for {self.classes} classes")
         W = w.reshape(self._W_shape)
-        xt = self._xt
-        xt[:-1] = features[idx]
-        z = np.dot(W, xt)
-        # the max np.maximum.reduce gives, for less overhead; a NaN logit makes
-        # every p NaN either way
-        p = np.exp(z - max(z.tolist()))
-        # the ufunc reduction .sum() wraps, without the wrapper's cost
-        p /= np.add.reduce(p)
+        xt = np.append(ds.features[idx], 1.0)
+        z = W @ xt
+        z -= z.max()
+        p = np.exp(z)
+        p /= p.sum()
         p[y] -= 1.0
-        g = p[:, None] * xt
+        g = np.outer(p, xt)
         if self.l2:
-            g = g + self.l2 * W
+            g += self.l2 * W
         return g.ravel()
 
     def stepper(self, w: np.ndarray, grad_sum: np.ndarray, ds: Dataset) -> "LogisticStepper":
@@ -498,31 +486,14 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     Both files are big-endian: a 32-bit magic, 32-bit dimension sizes, then
     raw unsigned bytes.  Paths ending in .gz are decompressed transparently.
     """
-    img = _read_bytes(images_path)
-    if len(img) < 16:
-        raise TruncatedError(f"{images_path}: header needs 16 bytes, file has {len(img)}")
-    magic, count, rows, cols = struct.unpack(">IIII", img[:16])
-    if magic != IMAGES_MAGIC:
-        raise BadMagicError(f"{images_path}: magic {magic:#010x} != {IMAGES_MAGIC:#010x}")
+    img, head = _read_idx(images_path, "images")
+    count, rows, cols = head["count"], head["rows"], head["cols"]
     if count < 1 or rows * cols < 1:
         raise IdxError(f"{images_path}: {count} images of {rows}x{cols} pixels hold no data")
-    expected = count * rows * cols
-    if len(img) - 16 != expected:
-        raise TruncatedError(
-            f"{images_path}: payload is {len(img) - 16} bytes, expected {expected}"
-        )
-
-    lbl = _read_bytes(labels_path)
-    if len(lbl) < 8:
-        raise TruncatedError(f"{labels_path}: header needs 8 bytes, file has {len(lbl)}")
-    lmagic, lcount = struct.unpack(">II", lbl[:8])
-    if lmagic != LABELS_MAGIC:
-        raise BadMagicError(f"{labels_path}: magic {lmagic:#010x} != {LABELS_MAGIC:#010x}")
-    if len(lbl) - 8 != lcount:
-        raise TruncatedError(f"{labels_path}: payload is {len(lbl) - 8} bytes, expected {lcount}")
-    if lcount != count:
+    lbl, head = _read_idx(labels_path, "labels")
+    if head["count"] != count:
         raise CountMismatchError(
-            f"{count} images in {images_path} but {lcount} labels in {labels_path}"
+            f"{count} images in {images_path} but {head['count']} labels in {labels_path}"
         )
 
     features = np.frombuffer(img, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
@@ -538,6 +509,9 @@ def write_idx(images_path: str | Path, labels_path: str | Path, ds: Dataset) -> 
     """
     if ds.labels is None:
         raise ObjectiveError("writing IDX needs a labeled dataset")
+    top = int(ds.labels.max())
+    if top > 255:
+        raise ObjectiveError(f"IDX labels are bytes, at most 255; the largest label is {top}")
     lo = ds.features.min()
     hi = ds.features.max()
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
@@ -558,23 +532,32 @@ def write_idx(images_path: str | Path, labels_path: str | Path, ds: Dataset) -> 
 
 def read_idx_header(path: str | Path) -> dict:
     """Header summary for one IDX file: kind, count, and payload geometry."""
+    return _read_idx(path)[1]
+
+
+def _read_idx(path: str | Path, kind: str | None = None) -> tuple[bytes, dict]:
+    """An IDX file's bytes and header; given a kind, the file must hold it and its full payload."""
     data = _read_bytes(path)
     if len(data) < 8:
         raise TruncatedError(f"{path}: header needs at least 8 bytes, file has {len(data)}")
-    magic = struct.unpack(">I", data[:4])[0]
+    magic, count = struct.unpack(">II", data[:8])
+    head = {"magic": magic, "count": count}
     if magic == IMAGES_MAGIC:
         if len(data) < 16:
             raise TruncatedError(f"{path}: image header needs 16 bytes, file has {len(data)}")
-        _, count, rows, cols = struct.unpack(">IIII", data[:16])
-        return {
-            "kind": "images",
-            "magic": magic,
-            "count": count,
-            "rows": rows,
-            "cols": cols,
-            "payload_bytes": len(data) - 16,
-        }
-    if magic == LABELS_MAGIC:
-        count = struct.unpack(">I", data[4:8])[0]
-        return {"kind": "labels", "magic": magic, "count": count, "payload_bytes": len(data) - 8}
-    raise BadMagicError(f"{path}: magic {magic:#010x} is neither images nor labels")
+        rows, cols = struct.unpack(">II", data[8:16])
+        head.update(kind="images", rows=rows, cols=cols, payload_bytes=len(data) - 16)
+    elif magic == LABELS_MAGIC:
+        head.update(kind="labels", payload_bytes=len(data) - 8)
+    else:
+        raise BadMagicError(f"{path}: magic {magic:#010x} is neither images nor labels")
+    if kind is None:
+        return data, head
+    if head["kind"] != kind:
+        raise BadMagicError(f"{path}: magic {magic:#010x} marks {head['kind']}, not {kind}")
+    expected = count * head.get("rows", 1) * head.get("cols", 1)
+    if head["payload_bytes"] != expected:
+        raise TruncatedError(
+            f"{path}: payload is {head['payload_bytes']} bytes, expected {expected}"
+        )
+    return data, head

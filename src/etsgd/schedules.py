@@ -52,8 +52,9 @@ class Constant:
     s: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ScheduleError(f"constant schedule needs s >= 1, got {self.s}")
+        if not (1 <= self.s < math.inf and self.s == int(self.s)):  # NaN fails too
+            raise ScheduleError(f"constant schedule needs a whole number s >= 1, got {self.s:g}")
+        object.__setattr__(self, "s", int(self.s))  # the parser passes 3.0 for const:3
 
 
 @dataclass(frozen=True)
@@ -162,38 +163,31 @@ def step_size(sched: StepSchedule, t: int | float) -> float:
     raise TypeError(f"not a step schedule: {sched!r}")
 
 
-def parse_sample_schedule(text: str) -> SampleSchedule:
-    """Parse the sample-schedule mini-grammar, e.g. 'linear:10,1,0'."""
+# each grammar's kinds: the schedule class and the names of its arguments
+_SAMPLE_KINDS = {"linear": (Linear, "a,p,b"), "const": (Constant, "s"),
+                 "thetalog": (LogDamped, "scale")}
+_STEP_KINDS = {"diminishing": (Diminishing, "eta0,beta"), "invtime": (InverseTime, "eta0,eps"),
+               "damped": (DampedInverseTime, "eta0,eps")}
+
+
+def _parse(text: str, what: str, kinds: dict):
     kind, _, args = text.partition(":")
+    cls, names = kinds.get(kind, (None, ""))
     try:
         parts = [float(x) for x in args.split(",")] if args else []
-        if kind == "linear" and len(parts) == 3:
-            return Linear(parts[0], parts[1], parts[2])
-        if kind == "const" and len(parts) == 1:
-            return Constant(int(parts[0]))
-        if kind == "thetalog" and len(parts) == 1:
-            return LogDamped(parts[0])
-    except (ValueError, OverflowError, ScheduleError) as exc:  # int(inf) overflows
-        raise ScheduleError(f"bad sample schedule {text!r}: {exc}") from None
-    raise ScheduleError(
-        f"bad sample schedule {text!r}; expected linear:a,p,b | const:s | thetalog:scale"
-    )
+        if cls is not None and len(parts) == len(names.split(",")):
+            return cls(*parts)
+    except (ValueError, ScheduleError) as exc:
+        raise ScheduleError(f"bad {what} schedule {text!r}: {exc}") from None
+    expected = " | ".join(f"{k}:{names}" for k, (_, names) in kinds.items())
+    raise ScheduleError(f"bad {what} schedule {text!r}; expected {expected}")
+
+
+def parse_sample_schedule(text: str) -> SampleSchedule:
+    """Parse the sample-schedule mini-grammar, e.g. 'linear:10,1,0'."""
+    return _parse(text, "sample", _SAMPLE_KINDS)
 
 
 def parse_step_schedule(text: str) -> StepSchedule:
     """Parse the step-schedule mini-grammar, e.g. 'diminishing:0.01,0.01'."""
-    kind, _, args = text.partition(":")
-    try:
-        parts = [float(x) for x in args.split(",")] if args else []
-        if kind == "diminishing" and len(parts) == 2:
-            return Diminishing(parts[0], parts[1])
-        if kind == "invtime" and len(parts) == 2:
-            return InverseTime(parts[0], parts[1])
-        if kind == "damped" and len(parts) == 2:
-            return DampedInverseTime(parts[0], parts[1])
-    except (ValueError, ScheduleError) as exc:
-        raise ScheduleError(f"bad step schedule {text!r}: {exc}") from None
-    raise ScheduleError(
-        f"bad step schedule {text!r}; expected diminishing:eta0,beta | "
-        f"invtime:eta0,eps | damped:eta0,eps"
-    )
+    return _parse(text, "step", _STEP_KINDS)

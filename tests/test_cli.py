@@ -118,6 +118,12 @@ def test_non_finite_schedule_parameter_exits_one_and_names_it(flag, value, kind,
     assert not out.exists()
 
 
+def test_fractional_constant_schedule_exits_one(capsys):
+    argv = ["run", "--schedule", "const:2.5", "--iters", "20", "--nodes", "2", "--seed", "0"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: bad sample schedule 'const:2.5': ")
+
+
 class TestRun:
     def test_minimal_run(self, capsys):
         assert run_cli(["run", *QUAD, "--seed", "1"]) == 0
@@ -484,6 +490,14 @@ class TestDataTools:
                "--nodes", "2", "--iters", "20", "--eval-every", "0", "--seed", "4"]
         assert run_cli(run) == 0
         assert "accuracy=" in capsys.readouterr().out
+
+    def test_gen_data_rejects_labels_above_a_byte(self, tmp_path, capsys):
+        img, lbl = tmp_path / "x.idx", tmp_path / "y.idx"
+        gen = ["gen-data", "--out-images", str(img), "--out-labels", str(lbl),
+               "--samples", "1000", "--dim", "2", "--classes", "300", "--seed", "0"]
+        assert run_cli(gen) == 1
+        assert "largest label is 299" in capsys.readouterr().err
+        assert not img.exists()
 
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.idx"

@@ -223,7 +223,6 @@ class TestLogistic:
         idx = data.draw(st.integers(0, m - 1), label="idx")
         g = obj.grad(w, ds, idx)
         assert np.array_equal(g, reference_grad(obj, w, ds, idx))
-        assert not np.shares_memory(g, obj._xt)
         kept = g.copy()
         obj.grad(-w, ds, m - 1 - idx)
         assert np.array_equal(g, kept)
@@ -538,6 +537,15 @@ class TestIdx:
         # one float temporary and the bytes, where the expression above holds two floats
         assert peak <= 1.25 * features.nbytes
         assert (tmp_path / "img.idx").read_bytes()[16:] == expected.tobytes()
+
+    def test_write_rejects_labels_above_a_byte(self, tmp_path):
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        write_idx(img, lbl, Dataset(np.zeros((3, 1)), np.array([0, 255, 7])))
+        assert load_idx(img, lbl).labels.tolist() == [0, 255, 7]
+        img.unlink()
+        with pytest.raises(ObjectiveError, match="largest label is 256$"):
+            write_idx(img, lbl, Dataset(np.zeros((3, 1)), np.array([0, 256, 7])))
+        assert not img.exists()
 
     def test_write_requires_labels(self, tmp_path):
         with pytest.raises(ObjectiveError):

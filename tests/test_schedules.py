@@ -183,11 +183,20 @@ class TestParsers:
 
     @pytest.mark.parametrize(
         "text",
-        ["linear:1", "linear", "const:", "const:0", "bogus:1", "linear:-1,1,0", "linear:a,b,c", ""],
+        [
+            "linear:1", "linear", "const:", "const:0", "const:2.5", "const:inf", "bogus:1",
+            "linear:-1,1,0", "linear:a,b,c", "",
+        ],
     )
     def test_bad_sample_text(self, text):
         with pytest.raises(ScheduleError):
             parse_sample_schedule(text)
+
+    def test_constant_takes_whole_numbers(self):
+        assert parse_sample_schedule("const:3") == Constant(3)
+        assert type(parse_sample_schedule("const:3").s) is int
+        with pytest.raises(ScheduleError, match=r"^bad sample schedule 'const:2\.5': .*got 2\.5$"):
+            parse_sample_schedule("const:2.5")
 
     @pytest.mark.parametrize("text", ["diminishing:0.01", "invtime:", "damped:0,1", "linear:10,1,0"])
     def test_bad_step_text(self, text):
@@ -197,6 +206,7 @@ class TestParsers:
 
 VALID_ARGS = {
     Linear: {"a": 10.0, "p": 1.0, "b": 0.0},
+    Constant: {"s": 7},
     LogDamped: {"scale": 5.0},
     Diminishing: {"eta0": 0.01, "beta": 0.01},
     InverseTime: {"eta0": 0.01, "epsilon": 1e-5},

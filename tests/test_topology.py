@@ -50,7 +50,7 @@ def test_neighbors_out_of_range():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="^self-loop on node 1$"):
         from_edges(3, [(1, 1)])
     with pytest.raises(TopologyError):
         Topology(3, frozenset({(2, 2)}))
@@ -71,8 +71,9 @@ def test_from_edges_normalizes():
 def test_empty_topology_needs_a_node():
     with pytest.raises(TopologyError):
         Topology(0, frozenset())
-    with pytest.raises(TopologyError):
-        ring(0)
+    for build, n in ((ring, 0), (ring, -1), (line, 0), (complete, 0)):
+        with pytest.raises(TopologyError, match=f"^need at least one node, got n={n}$"):
+            build(n)
 
 
 def test_is_connected():
