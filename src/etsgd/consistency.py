@@ -23,7 +23,9 @@ BLOCK records at a time, so the temporaries keep one size; the keys take
 4 bytes per apply and grad while every key is below 2**31, 8 otherwise.
 
 TimelineMap is the bridge between the two views: it assigns every
-(node, round, step) a global iteration index and inverts that mapping.
+(node, round, step) a global iteration index and inverts that mapping:
+node i's step h of round k is iteration starts[k], plus the slots of nodes
+below i in round k, plus h - 1, one prefix-sum row per round.
 iteration_bound_from_round_lag converts a round-lag cap into the widest
 staleness window it can induce on that timeline, so a run verified at the
 round level can be re-verified at the iteration level against the
@@ -31,9 +33,9 @@ implied window.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -53,48 +55,42 @@ class ConsistencyError(ValueError):
 class TimelineMap:
     """Bijection between (node, round, step) triples and global iterations.
 
-    Round k occupies a contiguous block of the global timeline; within the
-    block, slots name which node owns each iteration.  A node's own steps
-    therefore appear on the timeline in their local execution order.  Step
-    counters are one-based, matching the per-round counter a node carries:
-    its first step of a round is step 1, the same value a trace records.
-    round_starts[node] lists (global index, round) of the node's first
-    step in each round it owns slots in, in timeline order.
+    Rounds follow one another on the timeline, each laid out node by node,
+    so a node's own steps appear in their local execution order.  Step
+    counters are one-based, as in a node and its trace: a round's first
+    step is step 1.  round_starts[node] lists (global index, round) of the
+    node's first step in each round it owns slots in, in timeline order.
     """
 
     def __init__(self, assignment: Assignment):
         self.assignment = assignment
-        self._forward: dict[tuple[int, int, int], int] = {}
-        self._inverse: list[tuple[int, int, int]] = []
-        self.round_starts: list[list[tuple[int, int]]] = [[] for _ in range(assignment.n)]
-        t = 0
-        for k, row in enumerate(assignment.slots):
-            seen: dict[int, int] = {}
-            for node in row:
-                step = seen.get(node, 0) + 1
-                seen[node] = step
-                self._forward[(node, k, step)] = t
-                self._inverse.append((node, k, step))
-                if step == 1:
-                    self.round_starts[node].append((t, k))
-                t += 1
-
-    @property
-    def total(self) -> int:
-        return len(self._inverse)
+        # _offsets[k][i] is node i's first iteration in round k; _offsets[k][n] ends the round
+        self._offsets = [
+            list(accumulate(counts, initial=start))
+            for start, counts in zip(assignment.starts, zip(*assignment.budgets))
+        ]
+        self.total = self._offsets[-1][-1] if self._offsets else 0
+        self.round_starts = [
+            [(row[i], k) for k, row in enumerate(self._offsets) if counts[k]]
+            for i, counts in enumerate(assignment.budgets)
+        ]
 
     def global_index(self, node: int, round_index: int, step_in_round: int) -> int:
-        try:
-            return self._forward[(node, round_index, step_in_round)]
-        except KeyError:
-            raise ConsistencyError(
-                f"no slot for node {node} at round {round_index} step {step_in_round}"
-            ) from None
+        budgets = self.assignment.budgets
+        if 0 <= node < len(budgets) and 0 <= round_index < len(self._offsets):
+            if 0 < step_in_round <= budgets[node][round_index]:
+                return self._offsets[round_index][node] + step_in_round - 1
+        raise ConsistencyError(
+            f"no slot for node {node} at round {round_index} step {step_in_round}"
+        )
 
     def locate(self, t: int) -> tuple[int, int, int]:
-        if not 0 <= t < len(self._inverse):
+        if not 0 <= t < self.total:
             raise ConsistencyError(f"global iteration {t} out of range")
-        return self._inverse[t]
+        k = bisect_right(self.assignment.starts, t) - 1
+        row = self._offsets[k]
+        node = bisect_right(row, t) - 1
+        return node, k, t - row[node] + 1
 
 
 @dataclass
@@ -236,8 +232,9 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
         tau = staleness
     else:
         tau = lambda t, _v=float(staleness): _v
-    if trace.n != timeline.assignment.n:
-        raise ConsistencyError(f"trace has {trace.n} nodes, timeline {timeline.assignment.n}")
+    nodes = len(timeline.assignment.budgets)
+    if trace.n != nodes:
+        raise ConsistencyError(f"trace has {trace.n} nodes, timeline {nodes}")
     topo = trace.topology()
     nbrs = {i: set(neighbors(topo, i)) for i in range(trace.n)}
     applied: dict[int, dict[int, set[int]]] = {
@@ -302,16 +299,18 @@ def iteration_bound_from_round_lag(assignment: Assignment, max_lag: int) -> list
     A step in round k is guaranteed to have applied every neighbor round
     below k - max_lag, and those rounds cover exactly the timeline prefix
     before that round's first iteration.  The window at iteration t is
-    therefore t minus the start of round max(round(t) - max_lag, 0).
-    Index the returned list by global iteration.
+    therefore t minus the start of round max(round(t) - max_lag, 0).  A
+    finite cap counts as its floor, as verify_round_delay's whole lags see
+    it.  Index the returned list by global iteration.
     """
     if not max_lag >= 0:
         raise ConsistencyError(f"max_lag must be >= 0, got {max_lag}")
     starts = assignment.starts
     sizes = assignment.round_sizes
+    lag = int(min(max_lag, len(starts)))
     bound: list[float] = []
     for k, (start, size) in enumerate(zip(starts, sizes)):
-        anchor = starts[max(k - max_lag, 0)]
+        anchor = starts[max(k - lag, 0)]
         bound.extend(float(start + j - anchor) for j in range(size))
     return bound
 

@@ -218,8 +218,8 @@ def planned_budgets(cfg: ExperimentConfig) -> Layout:
     each round's step size is the step schedule evaluated at round_plan's
     start, the node's own step count when the round begins.  It is not the
     round's first global iteration: on a ring of 5 nodes under
-    linear:10,1,0, round 1's rate is read at step 10, while the layout's
-    assignment puts that round's first step at global iteration 50.
+    linear:10,1,0, round 1's rate is read at step 10, while the layout puts
+    that round's first step, node 0's, at global iteration 50.
     """
     sample_sched = parse_sample_schedule(cfg.sample_schedule)
     step_sched = parse_step_schedule(cfg.step_schedule)
@@ -390,7 +390,7 @@ def run_experiment(
 
 def run_timeline(cfg: ExperimentConfig) -> consistency.TimelineMap:
     """The global iteration labeling of a scheduled run of this config."""
-    return consistency.TimelineMap(planned_budgets(cfg).assignment)
+    return consistency.TimelineMap(planned_budgets(cfg))
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metrics]:
@@ -405,6 +405,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metric
     points = []
     for v in values:
         name = f"{cfg.name}[{axis}={v}]"
+        if isinstance(v, bool):
+            raise ConfigError(f"sweep axis {axis!r} takes numbers, got {v!r}")
         if axis != "threshold-coeff":
             try:
                 v = operator.index(v)

@@ -18,13 +18,14 @@ Summed in that order, Logistic weights differ from one-step-at-a-time
 updates in the last bits; the trace does not, since virtual time and the
 lag gate never read model values.
 
-The slot assignment lives here too: it names the node that runs each
-step slot of each round, which is the global iteration labeling the
-consistency checks use.  A harness run's Layout holds each node's round
-budgets and step sizes; the nodes take theirs from it, and its assignment,
-built on first read by assignment_from_budgets, is the run's slot layout.
-setup draws the paper's randomized assignment, in which node c wins each
-slot with probability p[c], for round sizes that schedules.round_plan gives.
+The slot assignment lives here too.  An Assignment holds per-node slot
+counts, budgets[i][k] being how many step slots of round k node i owns;
+each round's slots are laid out node by node, which is the global
+iteration labeling the consistency checks use.  A harness run's Layout is
+its Assignment plus each node's step sizes; the nodes take their budgets
+and step sizes from it.  setup draws the paper's randomized assignment, in
+which node c wins each slot with probability p[c], for round sizes that
+schedules.round_plan gives, and returns the per-node counts of its draws.
 """
 from __future__ import annotations
 
@@ -61,22 +62,24 @@ class Message:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Owner of every step slot: slots[i][t] names the node that runs slot t of round i."""
+    """Per-node slot counts: budgets[i][k] is how many slots of round k node i owns.
 
-    n: int
-    slots: tuple[tuple[int, ...], ...]
+    Every node lists the same rounds.  Round k runs from global iteration
+    starts[k] for round_sizes[k] slots, node 0's first, then node 1's, and so on.
+    """
+
+    budgets: tuple[list[int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise AssignmentError(f"need n >= 1, got {self.n}")
-        for i, rnd in enumerate(self.slots):
-            for owner in rnd:
-                if not (0 <= owner < self.n):
-                    raise AssignmentError(f"round {i}: owner {owner} out of range for n={self.n}")
+        if len({len(row) for row in self.budgets}) != 1:
+            raise AssignmentError("need at least one node, every node with the same rounds")
+        for i, row in enumerate(self.budgets):
+            if row and min(row) < 0:
+                raise AssignmentError(f"node {i}: negative budget in round {row.index(min(row))}")
 
     @cached_property
     def round_sizes(self) -> tuple[int, ...]:
-        return tuple(len(rnd) for rnd in self.slots)
+        return tuple(map(sum, zip(*self.budgets)))
 
     @cached_property
     def starts(self) -> tuple[int, ...]:
@@ -84,8 +87,15 @@ class Assignment:
         return tuple(accumulate(self.round_sizes, initial=0))[:-1]
 
 
+@dataclass(frozen=True)
+class Layout(Assignment):
+    """One scheduled run's plan: its slot counts, and etas[i], node i's per-round step sizes."""
+
+    etas: tuple[list[float], ...]
+
+
 def setup(n: int, sizes, p, seed: int) -> Assignment:
-    """Draw the owners of rounds of the given sizes; node c wins each slot with probability p[c]."""
+    """Draw each slot's owner, node c with probability p[c], and count each node's slots per round."""
     if n < 1:
         raise AssignmentError(f"need n >= 1, got {n}")
     probs = np.asarray(p, dtype=float)
@@ -94,49 +104,12 @@ def setup(n: int, sizes, p, seed: int) -> Assignment:
     if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
         raise AssignmentError("probabilities must be non-negative and sum to 1")
     rng = stream(seed, SETUP_STREAM)
-    slots = tuple(
-        tuple(int(c) for c in rng.choice(n, size=size, p=probs)) for size in sizes
-    )
-    return Assignment(n, slots)
-
-
-def assignment_from_budgets(budgets_by_node) -> Assignment:
-    """Slot layout matching known per-node round budgets, interleaved round-robin.
-
-    Any interleaving is a valid global labeling as long as each node's own
-    slots keep their local order within a round, which the cycling below
-    guarantees.  Shorter budget lists are padded with empty rounds.
-    """
-    n = len(budgets_by_node)
-    if n < 1:
-        raise AssignmentError("need at least one node")
-    rounds = max((len(b) for b in budgets_by_node), default=0)
-    slots = []
-    for k in range(rounds):
-        remaining = [b[k] if k < len(b) else 0 for b in budgets_by_node]
-        if any(r < 0 for r in remaining):
-            raise AssignmentError(f"round {k}: negative budget in {remaining}")
-        row = []
-        while any(remaining):
-            for c in range(n):
-                if remaining[c]:
-                    row.append(c)
-                    remaining[c] -= 1
-        slots.append(tuple(row))
-    return Assignment(n, tuple(slots))
-
-
-@dataclass(frozen=True)
-class Layout:
-    """One scheduled run's plan: budgets[i] and etas[i] are node i's per-round budgets and step sizes."""
-
-    budgets: tuple[list[int], ...]
-    etas: tuple[list[float], ...]
-
-    @cached_property
-    def assignment(self) -> Assignment:
-        """The run's slot layout, built on first read: runs themselves never need it."""
-        return assignment_from_budgets(self.budgets)
+    counts = np.zeros((n, len(sizes)), dtype=int)
+    for k, size in enumerate(sizes):
+        if size < 0:
+            raise AssignmentError(f"round {k}: negative size {size}")
+        counts[:, k] = np.bincount(rng.choice(n, size=size, p=probs), minlength=n)
+    return Assignment(tuple(counts.tolist()))
 
 
 class ComputeNode:

@@ -364,7 +364,7 @@ def test_timeline_is_a_bijection(criterion_report):
                 seen = set()
                 for node in range(n):
                     for rnd in range(rounds):
-                        for h in range(1, asg.slots[rnd].count(node) + 1):
+                        for h in range(1, asg.budgets[node][rnd] + 1):
                             t = tm.global_index(node, rnd, h)
                             ok = ok and tm.locate(t) == (node, rnd, h)
                             seen.add(t)
@@ -428,7 +428,7 @@ def test_identical_seeds_reproduce_artifacts(repro_artifacts, criterion_report):
 
 def test_setup_draw_counts_match_expectation(criterion_report):
     counts = [
-        setup(5, [1000], [0.2] * 5, seed).slots[0].count(0)
+        setup(5, [1000], [0.2] * 5, seed).budgets[0][0]
         for seed in range(1000)
     ]
     mean = float(np.mean(counts))

@@ -17,7 +17,8 @@ from etsgd.consistency import (
     verify_iteration_delay,
     verify_round_delay,
 )
-from etsgd.node import Assignment, ComputeNode, assignment_from_budgets, setup
+from etsgd.harness import ExperimentConfig, planned_budgets
+from etsgd.node import Assignment, ComputeNode, setup
 from etsgd.objectives import MeanQuadratic, gaussian_cloud
 from etsgd.rngs import SAMPLE_STREAM, stream
 from etsgd.schedules import Constant, round_plan
@@ -45,16 +46,19 @@ def run_ring(n=3, budgets=(10, 10, 10), max_lag=1, seed=0, delay=None, straggler
 
 class TestTimelineMap:
     def test_pinned_example(self):
-        tm = TimelineMap(Assignment(2, ((1, 0, 1),)))
-        assert tm.global_index(1, 0, 1) == 0
-        assert tm.global_index(0, 0, 1) == 1
+        # round 0: node 0 owns one slot, node 1 two; round 1: node 1 owns one
+        tm = TimelineMap(Assignment(([1, 0], [2, 1])))
+        assert tm.global_index(0, 0, 1) == 0
+        assert tm.global_index(1, 0, 1) == 1
         assert tm.global_index(1, 0, 2) == 2
-        assert tm.locate(0) == (1, 0, 1)
+        assert tm.global_index(1, 1, 1) == 3
+        assert tm.locate(0) == (0, 0, 1)
         assert tm.locate(2) == (1, 0, 2)
-        assert tm.total == 3
+        assert tm.locate(3) == (1, 1, 1)
+        assert tm.total == 4
 
     def test_single_node_is_sequential(self):
-        tm = TimelineMap(assignment_from_budgets([[5, 5, 5]]))
+        tm = TimelineMap(Assignment(([5, 5, 5],)))
         for k in range(3):
             for h in range(1, 6):
                 assert tm.global_index(0, k, h) == 5 * k + (h - 1)
@@ -77,15 +81,20 @@ class TestTimelineMap:
                     image = set()
                     for k in range(rounds):
                         for node in range(n):
-                            for h in range(1, asg.slots[k].count(node) + 1):
+                            for h in range(1, asg.budgets[node][k] + 1):
                                 t = tm.global_index(node, k, h)
                                 assert tm.locate(t) == (node, k, h)
                                 image.add(t)
                     assert image == set(range(tm.total))
 
     def test_round_starts(self):
-        tm = TimelineMap(Assignment(3, ((1, 0), (0, 0))))
-        assert tm.round_starts == [[(1, 0), (2, 1)], [(0, 0)], []]
+        tm = TimelineMap(Assignment(([1, 2], [1, 0], [0, 0])))
+        assert tm.round_starts == [[(0, 0), (2, 1)], [(1, 0)], []]
+        # empty rounds own no iteration
+        tm = TimelineMap(Assignment(([0, 2, 0, 1], [0, 0, 0, 1])))
+        assert tm.round_starts == [[(0, 1), (2, 3)], [(3, 3)]]
+        assert [tm.locate(t) for t in range(tm.total)] == [(0, 1, 1), (0, 1, 2), (0, 3, 1), (1, 3, 1)]
+        assert TimelineMap(Assignment(([],))).total == 0
 
     @given(data=st.data(), n=st.integers(1, 5), sizes=st.lists(st.integers(0, 15), max_size=5))
     def test_round_starts_match_locate(self, data, n, sizes):
@@ -103,13 +112,29 @@ class TestTimelineMap:
         assert tm.round_starts == expected
 
     def test_unknown_slot_rejected(self):
-        tm = TimelineMap(Assignment(2, ((1, 0),)))
-        with pytest.raises(ConsistencyError):
-            tm.global_index(0, 0, 2)
+        tm = TimelineMap(Assignment(([1], [1])))
+        for slot in ((0, 0, 2), (0, 0, 0), (2, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)):
+            with pytest.raises(ConsistencyError):
+                tm.global_index(*slot)
         with pytest.raises(ConsistencyError):
             tm.locate(2)
         with pytest.raises(ConsistencyError):
             tm.locate(-1)
+
+    def test_labeling_does_not_grow_with_the_run(self):
+        # a million iterations are 5 nodes by 200 rounds of counts; a table
+        # per iteration took over 200 MiB here
+        cfg = ExperimentConfig(n=5, total_iterations=1_000_000, sample_schedule="linear:10,1,0")
+        layout = planned_budgets(cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tm = TimelineMap(layout)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tm.total == 1_000_000
+        assert peak < 1 << 20
 
 
 class TestRoundDelayVerifier:
@@ -181,14 +206,14 @@ class TestRoundDelayVerifier:
 class TestIterationDelayVerifier:
     def test_single_node_any_window(self):
         result = run_ring(n=1, budgets=(5, 5))
-        tm = TimelineMap(assignment_from_budgets([[5, 5]]))
+        tm = TimelineMap(Assignment(([5, 5],)))
         report = verify_iteration_delay(result.trace, tm, 0)
         assert report.ok
         assert report.checked == 10
 
     def test_zero_window_flags_concurrency(self):
         result = run_ring(n=3, budgets=(10, 10, 10), max_lag=1)
-        tm = TimelineMap(assignment_from_budgets([[10, 10, 10]] * 3))
+        tm = TimelineMap(Assignment(([10, 10, 10],) * 3))
         report = verify_iteration_delay(result.trace, tm, 0)
         assert not report.ok
 
@@ -199,7 +224,7 @@ class TestIterationDelayVerifier:
         result = run_ring(n=3, budgets=budgets, max_lag=1,
                           delay=DelayModel(network=(0.1, 0.3)))
         assert verify_round_delay(result.trace, 1).ok
-        asg = assignment_from_budgets([budgets] * 3)
+        asg = Assignment((budgets,) * 3)
         tm = TimelineMap(asg)
         bound = iteration_bound_from_round_lag(asg, 1)
         report = verify_iteration_delay(result.trace, tm, bound)
@@ -207,7 +232,7 @@ class TestIterationDelayVerifier:
 
     def test_staleness_forms_agree(self):
         result = run_ring(n=3, budgets=(5, 5), max_lag=1)
-        tm = TimelineMap(assignment_from_budgets([[5, 5]] * 3))
+        tm = TimelineMap(Assignment(([5, 5],) * 3))
         const = verify_iteration_delay(result.trace, tm, 4.0)
         as_list = verify_iteration_delay(result.trace, tm, [4.0] * tm.total)
         as_fn = verify_iteration_delay(result.trace, tm, lambda t: 4.0)
@@ -217,7 +242,7 @@ class TestIterationDelayVerifier:
     def test_node_count_mismatch_rejected(self):
         trace = Trace(2, ((0, 1),))
         with pytest.raises(ConsistencyError):
-            verify_iteration_delay(trace, TimelineMap(Assignment(1, ((0,),))), 0)
+            verify_iteration_delay(trace, TimelineMap(Assignment(([1],))), 0)
 
     def test_non_neighbors_tallied_not_flagged(self):
         topo = line(3)
@@ -230,7 +255,7 @@ class TestIterationDelayVerifier:
             for i in range(3)
         ]
         result = Simulation(nodes, topo, seed=0).run()
-        tm = TimelineMap(assignment_from_budgets([budgets] * 3))
+        tm = TimelineMap(Assignment((budgets,) * 3))
         report = verify_iteration_delay(result.trace, tm, 0)
         # nodes 0 and 2 are not adjacent, so windows they miss from each
         # other accumulate in the info counter instead of violations
@@ -240,7 +265,7 @@ class TestIterationDelayVerifier:
 
 class TestInducedBound:
     def test_hand_computed_values(self):
-        asg = assignment_from_budgets([[2, 3, 4]])
+        asg = Assignment(([2, 3, 4],))
         assert iteration_bound_from_round_lag(asg, 1) == [
             0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0, 5.0, 6.0,
         ]
@@ -249,16 +274,23 @@ class TestInducedBound:
         ]
 
     def test_large_lag_reaches_round_zero(self):
-        asg = assignment_from_budgets([[2, 2, 2]])
+        asg = Assignment(([2, 2, 2],))
         assert iteration_bound_from_round_lag(asg, 10) == [float(t) for t in range(6)]
+
+    def test_fractional_lag_counts_as_its_floor(self):
+        # verify_round_delay's lag > 1.5 flags the same whole lags as lag > 1
+        asg = Assignment(([2, 3, 4],))
+        assert iteration_bound_from_round_lag(asg, 1.5) == iteration_bound_from_round_lag(asg, 1)
+        assert iteration_bound_from_round_lag(asg, 0.5) == iteration_bound_from_round_lag(asg, 0)
+        assert iteration_bound_from_round_lag(asg, float("inf")) == [float(t) for t in range(9)]
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ConsistencyError):
-            iteration_bound_from_round_lag(assignment_from_budgets([[1]]), -1)
+            iteration_bound_from_round_lag(Assignment(([1],)), -1)
 
     def test_nan_lag_rejected(self):
         with pytest.raises(ConsistencyError):
-            iteration_bound_from_round_lag(assignment_from_budgets([[1]]), float("nan"))
+            iteration_bound_from_round_lag(Assignment(([1],)), float("nan"))
 
 
 def reference_round_delay(trace, max_lag):
@@ -445,7 +477,7 @@ def test_iteration_verifier_matches_brute_force(
     result = run_ring(n=n, budgets=budgets, max_lag=max_lag, seed=seed,
                       delay=DelayModel(network=(0.1, hi)), topo=topology(n))
     assume(overtaken(result.trace) > 0)
-    asg = assignment_from_budgets([budgets] * n)
+    asg = Assignment((budgets,) * n)
     tm = TimelineMap(asg)
     bound = iteration_bound_from_round_lag(asg, max_lag) if window is None else [window] * tm.total
     assert verify_iteration_delay(result.trace, tm, bound) == reference_iteration_delay(

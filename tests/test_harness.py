@@ -13,6 +13,7 @@ from etsgd import harness
 from etsgd.consistency import TimelineMap
 from etsgd.harness import (
     CSV_COLUMNS,
+    SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
     build_task,
@@ -260,7 +261,7 @@ def test_run_layout_is_its_trace_layout(n, topology, schedule, iterations, max_l
     cfg = quad_config(n=n, topology=topology, sample_schedule=schedule,
                       iterations=iterations, max_lag=max_lag, seed=seed)
     m = run_experiment(cfg, keep_trace=True)
-    tm = TimelineMap(m.layout.assignment)
+    tm = TimelineMap(m.layout)
     trace = m.trace
     slots = [
         tm.global_index(node, rnd, step)
@@ -269,7 +270,7 @@ def test_run_layout_is_its_trace_layout(n, topology, schedule, iterations, max_l
     ]
     assert sorted(slots) == list(range(tm.total))
     assert [nm.rounds for nm in m.nodes] == [len(b) for b in m.layout.budgets]
-    assert run_timeline(cfg).assignment == m.layout.assignment
+    assert run_timeline(cfg).assignment == m.layout
     assert run_experiment(replace(cfg, algorithm="threshold")).layout is None
 
 
@@ -303,6 +304,16 @@ class TestSweep:
                     sweep(quad_config(), axis, [1, value])
         points = sweep(quad_config(), "d", [np.int64(2), 3])
         assert [(p.name, p.max_lag) for p in points] == [("run[d=2]", 2), ("run[d=3]", 3)]
+
+    def test_booleans_rejected_on_every_axis(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        for axis in SWEEP_AXES:
+            for value in (True, False):
+                with pytest.raises(ConfigError, match=f"sweep axis {axis!r} takes numbers, "
+                                                      f"got {value!r}"):
+                    sweep(quad_config(), axis, [1, value])
+        assert runs == []
 
     def test_threshold_coeff_axis(self):
         table = sweep(quad_config(iterations=30), "threshold-coeff", [1.0, 0.2])

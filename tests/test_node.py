@@ -12,11 +12,10 @@ from etsgd.node import (
     ComputeNode,
     Message,
     ProtocolError,
-    assignment_from_budgets,
     setup,
 )
 from etsgd.objectives import STEP_BLOCK, Dataset, Logistic, MeanQuadratic, gaussian_cloud
-from etsgd.rngs import SAMPLE_STREAM, sample_draws, stream
+from etsgd.rngs import SAMPLE_STREAM, SETUP_STREAM, sample_draws, stream
 from etsgd.schedules import round_plan
 from etsgd.simnet import DelayModel, Simulation
 from etsgd.topology import neighbors
@@ -38,28 +37,35 @@ def make_node(budgets=(2, 2), etas=None, neighbors=(1,), max_lag=1, dim=2,
 
 class TestAssignment:
     def test_counts_and_starts(self):
-        asg = Assignment(2, ((0, 1, 0), (1, 1)))
+        asg = Assignment(([2, 0], [1, 2]))
         assert asg.round_sizes == (3, 2)
         assert asg.starts == (0, 3)
-        assert asg.slots[0].count(0) == 2
-        assert asg.slots[1].count(0) == 0
-        assert [asg.slots[i].count(1) for i in range(2)] == [1, 2]
-        assert Assignment(2, ()).starts == ()
+        assert Assignment(([], [])).starts == ()
 
-    def test_owner_range_checked(self):
-        with pytest.raises(AssignmentError):
-            Assignment(2, ((0, 2),))
-        with pytest.raises(AssignmentError):
-            Assignment(0, ())
+    def test_counts_checked(self):
+        with pytest.raises(AssignmentError, match="node 1: negative budget in round 1"):
+            Assignment(([0, 2], [1, -2]))
+        for ragged in (([2, 1], [1]), ([], [0]), ()):
+            with pytest.raises(AssignmentError, match="every node with the same rounds"):
+                Assignment(ragged)
 
     def test_setup_respects_probabilities(self):
         asg = setup(3, [10] * 3, [1.0, 0.0, 0.0], seed=4)
-        assert all(owner == 0 for rnd in asg.slots for owner in rnd)
+        assert asg.budgets == ([10, 10, 10], [0, 0, 0], [0, 0, 0])
         assert asg.round_sizes == (10, 10, 10)
 
     def test_setup_single_node(self):
         asg = setup(1, [3, 6], [1.0], seed=0)
-        assert asg.slots == ((0, 0, 0), (0, 0, 0, 0, 0, 0))
+        assert asg.budgets == ([3, 6],)
+
+    def test_setup_counts_its_draws(self):
+        # the counts of the owners rng.choice draws, round by round, on the setup stream
+        rng = stream(5, SETUP_STREAM)
+        owners = [rng.choice(3, size=size, p=[0.5, 0.3, 0.2]) for size in (7, 0, 12)]
+        asg = setup(3, [7, 0, 12], [0.5, 0.3, 0.2], seed=5)
+        assert asg.budgets == tuple(
+            [int((row == i).sum()) for row in owners] for i in range(3)
+        )
 
     def test_setup_deterministic(self):
         a = setup(4, [20] * 2, [0.25] * 4, seed=9)
@@ -75,26 +81,10 @@ class TestAssignment:
             setup(2, [5], [1.0], seed=0)  # wrong length
         with pytest.raises(AssignmentError):
             setup(0, [5], [], seed=0)
-
-    def test_from_budgets_uniform_split(self):
-        # equal budgets on every node lay out round-robin, one share per node
-        asg = assignment_from_budgets([[2, 2]] * 3)
-        assert asg.slots == ((0, 1, 2, 0, 1, 2),) * 2
-        for rnd in range(2):
-            for node in range(3):
-                assert asg.slots[rnd].count(node) == 2
-
-    def test_from_budgets_interleaves_and_pads(self):
-        asg = assignment_from_budgets([[2, 1], [1]])
-        assert asg.slots == ((0, 1, 0), (0,))
-        assert [asg.slots[i].count(0) for i in range(2)] == [2, 1]
-        assert [asg.slots[i].count(1) for i in range(2)] == [1, 0]
-
-    def test_from_budgets_validation(self):
-        with pytest.raises(AssignmentError):
-            assignment_from_budgets([])
-        with pytest.raises(AssignmentError):
-            assignment_from_budgets([[1, -2]])
+        with pytest.raises(AssignmentError, match="round 0: negative size -1"):
+            setup(2, [-1], [0.5, 0.5], seed=0)
+        with pytest.raises(AssignmentError, match="round 1: negative size -3"):
+            setup(2, [4, -3], [0.5, 0.5], seed=0)
 
 
 class TestReceive:
