@@ -208,35 +208,23 @@ def _build_config(ns: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _print_metrics(m: Metrics, file=None) -> None:
-    if file is None:
-        file = sys.stdout
+def _print_metrics(m: Metrics) -> None:
     cfg = m.config
-    print(
-        f"{cfg.name}: algorithm={cfg.algorithm} n={cfg.n} topology={cfg.topology} "
-        f"d={cfg.max_lag} seed={cfg.seed}",
-        file=file,
-    )
+    print(f"{cfg.name}: algorithm={cfg.algorithm} n={cfg.n} topology={cfg.topology} "
+          f"d={cfg.max_lag} seed={cfg.seed}")
     if not m.connected:
-        print("warning: topology is disconnected; nodes cannot reach agreement", file=file)
+        print("warning: topology is disconnected; nodes cannot reach agreement")
     for nm in m.nodes:
         acc = f" accuracy={nm.final_accuracy:.4f}" if nm.final_accuracy is not None else ""
-        print(
-            f"  node {nm.node}: rounds={nm.rounds} loss={nm.final_loss:.6g}{acc} "
-            f"finish={nm.finish_ms:.1f}ms",
-            file=file,
-        )
+        print(f"  node {nm.node}: rounds={nm.rounds} loss={nm.final_loss:.6g}{acc} "
+              f"finish={nm.finish_ms:.1f}ms")
     diverged = sum(not math.isfinite(nm.final_loss) for nm in m.nodes)
     if diverged:
         print(f"warning: {diverged} of {len(m.nodes)} nodes diverged (non-finite final loss)",
               file=sys.stderr)
     check = "n/a" if m.delay_check_ok is None else ("ok" if m.delay_check_ok else "FAILED")
     speed = f" speedup={m.speedup:.3f}" if m.speedup is not None else ""
-    print(
-        f"  messages={m.messages} duration={m.duration_ms:.1f}ms "
-        f"delay_check={check}{speed}",
-        file=file,
-    )
+    print(f"  messages={m.messages} duration={m.duration_ms:.1f}ms delay_check={check}{speed}")
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
@@ -254,8 +242,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _build_config(ns)
-    kind = float if ns.axis == "threshold-coeff" else int
-    values = [_parse(kind, v, "--values: ") for v in ns.values.split(",") if v]
+    values = [_parse(SWEEP_AXES[ns.axis], v, "--values: ") for v in ns.values.split(",") if v]
     if not values:
         raise ValueError("--values: no values given")
     table = sweep(cfg, ns.axis, values)

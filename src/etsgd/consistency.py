@@ -14,18 +14,14 @@ positions of each link's applies and of each receiver's grads.  The
 receiver's counter for that sender at a grad is the number of the link's
 apply positions below the grad's, so one searchsorted of the receiver's
 grad positions into the link's apply positions gives every counter, and
-lag = round - counter.  The contiguous-prefix rule of ROADMAP item 1 maps
-onto the same arrays: index a link's apply positions by the round each
-apply carries, and np.maximum.accumulate over them gives the positions at
-which the link's applied prefix grew, which then replace the apply
-positions in the searchsorted.  Applies are keyed, and grads counted,
-BLOCK records at a time, so the temporaries keep one size; the keys take
-4 bytes per apply and grad while every key is below 2**31, 8 otherwise.
+lag = round - counter.  Applies are keyed, and grads counted, BLOCK
+records at a time, so the temporaries keep one size; the keys take 4 bytes
+per apply and grad while every key is below 2**31, 8 otherwise.
 
 TimelineMap is the bridge between the two views: it assigns every
-(node, round, step) a global iteration index and inverts that mapping:
-node i's step h of round k is iteration starts[k], plus the slots of nodes
-below i in round k, plus h - 1, one prefix-sum row per round.
+(node, round, step) a global iteration index.  Node i's step h of round k
+is iteration starts[k], plus the slots of nodes below i in round k, plus
+h - 1, one prefix-sum row per round.
 iteration_bound_from_round_lag converts a round-lag cap into the widest
 staleness window it can induce on that timeline, so a run verified at the
 round level can be re-verified at the iteration level against the
@@ -33,7 +29,7 @@ implied window.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
@@ -53,7 +49,7 @@ class ConsistencyError(ValueError):
 
 
 class TimelineMap:
-    """Bijection between (node, round, step) triples and global iterations.
+    """Labeling of (node, round, step) triples by global iterations.
 
     Rounds follow one another on the timeline, each laid out node by node,
     so a node's own steps appear in their local execution order.  Step
@@ -83,14 +79,6 @@ class TimelineMap:
         raise ConsistencyError(
             f"no slot for node {node} at round {round_index} step {step_in_round}"
         )
-
-    def locate(self, t: int) -> tuple[int, int, int]:
-        if not 0 <= t < self.total:
-            raise ConsistencyError(f"global iteration {t} out of range")
-        k = bisect_right(self.assignment.starts, t) - 1
-        row = self._offsets[k]
-        node = bisect_right(row, t) - 1
-        return node, k, t - row[node] + 1
 
 
 @dataclass
@@ -214,24 +202,29 @@ def _non_neighbor(trace: Trace, p: int) -> ConsistencyError:
 def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Report:
     """Check each step's incorporated information against a staleness window.
 
-    staleness is a callable, a per-iteration list or a constant giving the
-    window tau(t); the step at global iteration t must already incorporate
-    every iteration j < t - tau(t).  A node's own past always qualifies.  A
-    neighbor's iteration qualifies once the round containing it has been
-    applied, tracked as a set per (receiver, sender) because deliveries are
-    not ordered; a counter per pair keeps how many of the sender's leading
-    rounds are all applied, so a step scans only the rounds after them.
+    staleness lists the window tau(t) of every global iteration t: one
+    entry per iteration of the timeline, each >= 0.  The step at iteration
+    t must already incorporate every iteration j < t - tau(t).  A node's
+    own past always qualifies.  A neighbor's iteration qualifies once the
+    round containing it has been applied, tracked as a set per (receiver,
+    sender) because deliveries are not ordered; a counter per pair keeps
+    how many of the sender's leading rounds are all applied, so a step
+    scans only the rounds after them.
     Iterations owned by non-neighbors are never directly received; they are
     tallied separately as indirect_only rather than flagged, since the
     window argument for them routes through multi-hop relays that a single
     trace cannot certify.
     """
-    if isinstance(staleness, (list, tuple)):
-        tau = staleness.__getitem__
-    elif callable(staleness):
-        tau = staleness
-    else:
-        tau = lambda t, _v=float(staleness): _v
+    if len(staleness) != timeline.total:
+        raise ConsistencyError(
+            f"staleness has {len(staleness)} windows, timeline {timeline.total} iterations"
+        )
+    try:
+        usable = np.all(np.greater_equal(staleness, 0))  # NaN fails too
+    except TypeError:  # an entry that is not a number
+        usable = False
+    if not usable:
+        raise ConsistencyError("every staleness window must be a number >= 0")
     nodes = len(timeline.assignment.budgets)
     if trace.n != nodes:
         raise ConsistencyError(f"trace has {trace.n} nodes, timeline {nodes}")
@@ -254,7 +247,7 @@ def verify_iteration_delay(trace: Trace, timeline: TimelineMap, staleness) -> Re
             continue
         checked += 1
         t = timeline.global_index(node, rnd, step)
-        wlim = t - tau(t)
+        wlim = t - staleness[t]
         if wlim <= 0:
             continue
         for peer in range(trace.n):

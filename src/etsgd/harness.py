@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,15 +51,16 @@ from .schedules import (
 from .simnet import DelayModel, Simulation, Trace
 from .topology import Topology, complete, is_connected, line, load_edge_list, neighbors, ring
 
-# sweep axis -> the config fields that one value of it sets
+# sweep axis -> (the type of its values, the config fields that one value of it sets)
 _SWEEP_FIELDS = {
-    "n": lambda v: {"n": v},
-    "d": lambda v: {"max_lag": v},
-    "K": lambda v: {"iterations": v, "total_iterations": None},
-    "constant-s": lambda v: {"sample_schedule": f"const:{v}"},
-    "threshold-coeff": lambda v: {"algorithm": "threshold", "threshold_coeff": float(v)},
+    "n": (int, lambda v: {"n": v}),
+    "d": (int, lambda v: {"max_lag": v}),
+    "K": (int, lambda v: {"iterations": v, "total_iterations": None}),
+    "constant-s": (int, lambda v: {"sample_schedule": f"const:{v}"}),
+    "threshold-coeff": (float, lambda v: {"algorithm": "threshold", "threshold_coeff": v}),
 }
-SWEEP_AXES = tuple(_SWEEP_FIELDS)
+# sweep axis -> the type of its values
+SWEEP_AXES = {axis: kind for axis, (kind, _) in _SWEEP_FIELDS.items()}
 
 CSV_COLUMNS = "experiment,node,round,iter,loss,accuracy,rounds_total,messages,duration_ms,speedup"
 
@@ -228,12 +229,7 @@ def planned_budgets(cfg: ExperimentConfig) -> Layout:
     return Layout((budgets,) * cfg.n, (etas,) * cfg.n)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    keep_trace: bool = False,
-    reference_duration_ms: float | None = None,
-) -> Metrics:
+def run_experiment(cfg: ExperimentConfig, *, keep_trace: bool = False) -> Metrics:
     """Run one configured experiment and collect its metrics.
 
     A scheduled run builds its Layout once, gives each node its lists,
@@ -365,13 +361,6 @@ def run_experiment(
             )
         )
 
-    if cfg.n == 1:
-        speedup = 1.0
-    elif reference_duration_ms is not None:
-        speedup = reference_duration_ms / result.duration_ms if result.duration_ms else None
-    else:
-        speedup = None
-
     return Metrics(
         config=cfg,
         nodes=node_metrics,
@@ -380,7 +369,7 @@ def run_experiment(
         messages=result.messages_sent,
         duration_ms=result.duration_ms,
         mean_finish_ms=result.mean_finish_ms,
-        speedup=speedup,
+        speedup=1.0 if cfg.n == 1 else None,
         connected=is_connected(topo),
         delay_check_ok=delay_ok,
         trace=result.trace if keep_trace else None,
@@ -393,42 +382,36 @@ def run_timeline(cfg: ExperimentConfig) -> consistency.TimelineMap:
     return consistency.TimelineMap(planned_budgets(cfg))
 
 
-def sweep(cfg: ExperimentConfig, axis: str, values, **run_kwargs) -> list[Metrics]:
-    """One run per axis value, sharing the base config and seed.
+def sweep(cfg: ExperimentConfig, axis: str, values) -> list[Metrics]:
+    """One run per axis value, sharing the base config and seed, in order.
 
-    Sweeping n with a total iteration budget reproduces the node-scaling
-    layout; the n=1 point, when present, is run first and used as the
-    speedup reference for the other points.
+    Every point is built and validated before the first run.  Sweeping n
+    with a total iteration budget reproduces the node-scaling layout; once
+    the runs are done, each point's speedup is set against the first n=1
+    point, when there is one: its duration over the point's.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {', '.join(SWEEP_AXES)}")
+    kind, fields = _SWEEP_FIELDS[axis]
     points = []
     for v in values:
         name = f"{cfg.name}[{axis}={v}]"
         if isinstance(v, bool):
             raise ConfigError(f"sweep axis {axis!r} takes numbers, got {v!r}")
-        if axis != "threshold-coeff":
-            try:
-                v = operator.index(v)
-            except TypeError:
-                raise ConfigError(f"sweep axis {axis!r} takes integers, got {v!r}") from None
-        points.append(replace(cfg, name=name, **_SWEEP_FIELDS[axis](v)))
-
-    reference = None
-    if axis == "n":
-        for point in points:
-            if point.n == 1:
-                reference = run_experiment(point, **run_kwargs)
-                break
-
-    out = []
+        if not isinstance(v, numbers.Integral if kind is int else numbers.Real):
+            kinds = "integers" if kind is int else "real numbers"
+            raise ConfigError(f"sweep axis {axis!r} takes {kinds}, got {v!r}")
+        points.append(replace(cfg, name=name, **fields(kind(v))))
     for point in points:
-        if reference is not None and point.n == 1:
-            out.append(reference)
-        else:
-            ref_ms = reference.duration_ms if reference is not None else None
-            out.append(run_experiment(point, reference_duration_ms=ref_ms, **run_kwargs))
-    return out
+        point.validate()
+
+    out = [run_experiment(point) for point in points]
+    ref = next((m for point, m in zip(points, out) if point.n == 1), None)
+    return [
+        m if ref is None or point.n == 1
+        else replace(m, speedup=ref.duration_ms / m.duration_ms if m.duration_ms else None)
+        for point, m in zip(points, out)
+    ]
 
 
 def export_csv(metrics, path: str | Path) -> None:

@@ -361,21 +361,24 @@ def test_timeline_is_a_bijection(criterion_report):
             for seed in range(10):
                 asg = setup(n, [sample_size(sched, i) for i in range(rounds)], p, seed)
                 tm = TimelineMap(asg)
-                seen = set()
+                images = []
                 for node in range(n):
-                    for rnd in range(rounds):
-                        for h in range(1, asg.budgets[node][rnd] + 1):
-                            t = tm.global_index(node, rnd, h)
-                            ok = ok and tm.locate(t) == (node, rnd, h)
-                            seen.add(t)
-                ok = ok and seen == set(range(tm.total))
+                    # the node's slots in (round, step) order
+                    steps = [
+                        tm.global_index(node, rnd, h)
+                        for rnd in range(rounds)
+                        for h in range(1, asg.budgets[node][rnd] + 1)
+                    ]
+                    ok = ok and steps == sorted(steps)
+                    images += steps
+                ok = ok and sorted(images) == list(range(tm.total))
                 assignments += 1
     elapsed = time.perf_counter() - start
     ok = ok and assignments == 240 and elapsed < 5.0
     criterion_report(
         10,
         ok,
-        f"round-trip and image checks over {assignments} assignments "
+        f"one-to-one, onto and order checks over {assignments} assignments "
         f"(n<=4, rounds<=6, 10 seeds), {elapsed:.2f}s",
     )
 

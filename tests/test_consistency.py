@@ -44,6 +44,14 @@ def run_ring(n=3, budgets=(10, 10, 10), max_lag=1, seed=0, delay=None, straggler
     return sim.run()
 
 
+def slot_images(tm):
+    """Each node's global indices over all its slots, in (round, step) order."""
+    return [
+        [tm.global_index(node, k, h) for k, count in enumerate(counts) for h in range(1, count + 1)]
+        for node, counts in enumerate(tm.assignment.budgets)
+    ]
+
+
 class TestTimelineMap:
     def test_pinned_example(self):
         # round 0: node 0 owns one slot, node 1 two; round 1: node 1 owns one
@@ -52,9 +60,7 @@ class TestTimelineMap:
         assert tm.global_index(1, 0, 1) == 1
         assert tm.global_index(1, 0, 2) == 2
         assert tm.global_index(1, 1, 1) == 3
-        assert tm.locate(0) == (0, 0, 1)
-        assert tm.locate(2) == (1, 0, 2)
-        assert tm.locate(3) == (1, 1, 1)
+        assert tm.round_starts == [[(0, 0)], [(1, 0), (3, 1)]]
         assert tm.total == 4
 
     def test_single_node_is_sequential(self):
@@ -66,26 +72,22 @@ class TestTimelineMap:
     def test_round_blocks_are_contiguous(self):
         asg = setup(3, [4, 8, 12, 16], [1 / 3] * 3, seed=2)
         tm = TimelineMap(asg)
-        rounds = [tm.locate(t)[1] for t in range(tm.total)]
-        assert rounds == sorted(rounds)
-        starts = list(asg.starts)
-        for k, start in enumerate(starts):
-            assert tm.locate(start)[1] == k
+        for k, (start, size) in enumerate(zip(asg.starts, asg.round_sizes)):
+            block = [
+                tm.global_index(node, k, h)
+                for node in range(3) for h in range(1, asg.budgets[node][k] + 1)
+            ]
+            assert sorted(block) == list(range(start, start + size))
 
-    def test_bijection_small_sweep(self):
+    def test_labeling_is_one_to_one_and_onto(self):
         for n in (1, 2, 3):
             for rounds in (1, 2, 4):
                 for seed in range(3):
                     asg = setup(n, [3 * (k + 1) for k in range(rounds)], [1 / n] * n, seed)
                     tm = TimelineMap(asg)
-                    image = set()
-                    for k in range(rounds):
-                        for node in range(n):
-                            for h in range(1, asg.budgets[node][k] + 1):
-                                t = tm.global_index(node, k, h)
-                                assert tm.locate(t) == (node, k, h)
-                                image.add(t)
-                    assert image == set(range(tm.total))
+                    images = slot_images(tm)
+                    assert sorted(sum(images, [])) == list(range(tm.total))
+                    assert all(steps == sorted(steps) for steps in images)
 
     def test_round_starts(self):
         tm = TimelineMap(Assignment(([1, 2], [1, 0], [0, 0])))
@@ -93,33 +95,34 @@ class TestTimelineMap:
         # empty rounds own no iteration
         tm = TimelineMap(Assignment(([0, 2, 0, 1], [0, 0, 0, 1])))
         assert tm.round_starts == [[(0, 1), (2, 3)], [(3, 3)]]
-        assert [tm.locate(t) for t in range(tm.total)] == [(0, 1, 1), (0, 1, 2), (0, 3, 1), (1, 3, 1)]
+        assert slot_images(tm) == [[0, 1, 2], [3]]
         assert TimelineMap(Assignment(([],))).total == 0
 
     @given(data=st.data(), n=st.integers(1, 5), sizes=st.lists(st.integers(0, 15), max_size=5))
-    def test_round_starts_match_locate(self, data, n, sizes):
+    def test_round_starts_match_global_index(self, data, n, sizes):
         weights = data.draw(
             st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any), label="weights"
         )
         seed = data.draw(st.integers(0, 2**16), label="seed")
         probs = [w / sum(weights) for w in weights]
         tm = TimelineMap(setup(n, sizes, probs, seed))
+        # walk the timeline slot by slot: rounds in order, each node by node
         expected = [[] for _ in range(n)]
-        for t in range(tm.total):
-            node, k, step = tm.locate(t)
-            if step == 1:
-                expected[node].append((t, k))
+        t = 0
+        for k, counts in enumerate(zip(*tm.assignment.budgets)):
+            for node, count in enumerate(counts):
+                if count:
+                    expected[node].append((t, k))
+                    assert tm.global_index(node, k, 1) == t
+                t += count
         assert tm.round_starts == expected
+        assert t == tm.total
 
     def test_unknown_slot_rejected(self):
         tm = TimelineMap(Assignment(([1], [1])))
         for slot in ((0, 0, 2), (0, 0, 0), (2, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)):
             with pytest.raises(ConsistencyError):
                 tm.global_index(*slot)
-        with pytest.raises(ConsistencyError):
-            tm.locate(2)
-        with pytest.raises(ConsistencyError):
-            tm.locate(-1)
 
     def test_labeling_does_not_grow_with_the_run(self):
         # a million iterations are 5 nodes by 200 rounds of counts; a table
@@ -207,15 +210,32 @@ class TestIterationDelayVerifier:
     def test_single_node_any_window(self):
         result = run_ring(n=1, budgets=(5, 5))
         tm = TimelineMap(Assignment(([5, 5],)))
-        report = verify_iteration_delay(result.trace, tm, 0)
+        report = verify_iteration_delay(result.trace, tm, [0] * tm.total)
         assert report.ok
         assert report.checked == 10
 
     def test_zero_window_flags_concurrency(self):
         result = run_ring(n=3, budgets=(10, 10, 10), max_lag=1)
         tm = TimelineMap(Assignment(([10, 10, 10],) * 3))
-        report = verify_iteration_delay(result.trace, tm, 0)
+        report = verify_iteration_delay(result.trace, tm, [0] * tm.total)
         assert not report.ok
+
+    def test_windows_it_cannot_apply_rejected(self):
+        result = run_ring(n=3, budgets=(10, 10, 10), max_lag=1)
+        tm = TimelineMap(Assignment(([10, 10, 10],) * 3))
+        assert tm.total == 90
+        # window 0 flags violations here, so a NaN window that passed would hide them
+        assert not verify_iteration_delay(result.trace, tm, [0.0] * 90).ok
+        for windows, match in (
+            ([0.0] * 89, "staleness has 89 windows, timeline 90 iterations"),
+            ([0.0] * 91, "staleness has 91 windows, timeline 90 iterations"),
+            ([float("nan")] * 90, "must be a number >= 0"),
+            ([0.0] * 89 + [-1.0], "must be a number >= 0"),
+            ([0.0] * 89 + [None], "must be a number >= 0"),
+            (["1"] * 90, "must be a number >= 0"),
+        ):
+            with pytest.raises(ConsistencyError, match=match):
+                verify_iteration_delay(result.trace, tm, windows)
 
     def test_induced_bound_holds_on_clean_run(self):
         # tight network jitter keeps per-link deliveries in order, so the
@@ -230,19 +250,10 @@ class TestIterationDelayVerifier:
         report = verify_iteration_delay(result.trace, tm, bound)
         assert report.ok
 
-    def test_staleness_forms_agree(self):
-        result = run_ring(n=3, budgets=(5, 5), max_lag=1)
-        tm = TimelineMap(Assignment(([5, 5],) * 3))
-        const = verify_iteration_delay(result.trace, tm, 4.0)
-        as_list = verify_iteration_delay(result.trace, tm, [4.0] * tm.total)
-        as_fn = verify_iteration_delay(result.trace, tm, lambda t: 4.0)
-        assert const.ok == as_list.ok == as_fn.ok
-        assert len(const.violations) == len(as_list.violations) == len(as_fn.violations)
-
     def test_node_count_mismatch_rejected(self):
         trace = Trace(2, ((0, 1),))
         with pytest.raises(ConsistencyError):
-            verify_iteration_delay(trace, TimelineMap(Assignment(([1],))), 0)
+            verify_iteration_delay(trace, TimelineMap(Assignment(([1],))), [0])
 
     def test_non_neighbors_tallied_not_flagged(self):
         topo = line(3)
@@ -256,7 +267,7 @@ class TestIterationDelayVerifier:
         ]
         result = Simulation(nodes, topo, seed=0).run()
         tm = TimelineMap(Assignment((budgets,) * 3))
-        report = verify_iteration_delay(result.trace, tm, 0)
+        report = verify_iteration_delay(result.trace, tm, [0] * tm.total)
         # nodes 0 and 2 are not adjacent, so windows they miss from each
         # other accumulate in the info counter instead of violations
         assert report.info["indirect_only"] > 0
@@ -412,7 +423,6 @@ def test_round_verifier_memory_ignores_the_node_count():
 
 def reference_iteration_delay(trace, timeline, staleness):
     """verify_iteration_delay by brute force: every step rescans each peer's needed rounds."""
-    tau = staleness if callable(staleness) else lambda t: staleness[t]
     topo = trace.topology()
     nbrs = {i: set(neighbors(topo, i)) for i in range(trace.n)}
     applied = {i: {e: set() for e in nbrs[i]} for i in range(trace.n)}
@@ -426,7 +436,7 @@ def reference_iteration_delay(trace, timeline, staleness):
             continue
         checked += 1
         t = timeline.global_index(rec.node, rec.round_index, rec.step)
-        wlim = t - tau(t)
+        wlim = t - staleness[t]
         if wlim <= 0:
             continue
         for peer in range(trace.n):

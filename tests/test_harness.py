@@ -150,12 +150,6 @@ class TestRunExperiment:
         assert m.speedup == 1.0
         assert m.messages == 0
 
-    def test_reference_speedup(self):
-        ref = run_experiment(quad_config(n=1, iterations=120))
-        m = run_experiment(quad_config(n=3, iterations=40),
-                           reference_duration_ms=ref.duration_ms)
-        assert m.speedup == pytest.approx(ref.duration_ms / m.duration_ms)
-
     def test_keep_trace(self):
         m = run_experiment(quad_config(), keep_trace=True)
         assert m.trace is not None
@@ -319,6 +313,44 @@ class TestSweep:
         table = sweep(quad_config(iterations=30), "threshold-coeff", [1.0, 0.2])
         assert all(m.config.algorithm == "threshold" for m in table)
         assert [m.config.threshold_coeff for m in table] == [1.0, 0.2]
+
+    def test_speedup_against_the_single_node_point(self):
+        cfg = quad_config(iterations=None, total_iterations=60)
+        table = sweep(cfg, "n", [2, 1, 5, 1])
+        ref = run_experiment(replace(cfg, n=1, name="run[n=1]"))
+        assert [m.config.n for m in table] == [2, 1, 5, 1]
+        assert [table[1].speedup, table[3].speedup] == [1.0, 1.0]
+        for m in (table[0], table[2]):
+            assert m.speedup == ref.duration_ms / m.duration_ms
+        assert all(m.speedup is None for m in sweep(cfg, "n", [2, 3]))
+        assert [m.speedup for m in sweep(quad_config(n=1), "d", [0, 2])] == [1.0, 1.0]
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The configs run_experiment was called with; nothing is run."""
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: calls.append(cfg))
+        return calls
+
+    def test_threshold_coeff_takes_real_numbers(self, runs):
+        for value in ("0.5", "inf", "abc", None):
+            with pytest.raises(ConfigError, match=f"sweep axis 'threshold-coeff' takes real "
+                                                  f"numbers, got {value!r}"):
+                sweep(quad_config(), "threshold-coeff", [0.5, value])
+        assert runs == []
+        sweep(quad_config(), "threshold-coeff", [np.float64(0.5), 1])
+        assert [(cfg.name, cfg.threshold_coeff) for cfg in runs] == [
+            ("run[threshold-coeff=0.5]", 0.5), ("run[threshold-coeff=1]", 1.0)
+        ]
+        assert [type(cfg.threshold_coeff) for cfg in runs] == [float, float]
+
+    def test_every_point_is_validated_before_any_run(self, runs):
+        cfg = quad_config(stragglers={4: 2.0})
+        with pytest.raises(ConfigError, match="straggler node 4 out of range for n=3"):
+            sweep(cfg, "n", [5, 3])
+        with pytest.raises(ConfigError, match=r"threshold_coeff must be in \(0, 1\], got inf"):
+            sweep(quad_config(), "threshold-coeff", [0.5, float("inf")])
+        assert runs == []
 
 
 class TestExports:
