@@ -11,12 +11,15 @@ configs produce byte-identical CSV, SVG, and trace exports.
 Round snapshots are evaluated EVAL_BATCH at a time.  When the held-out
 set is large (rows * features at least objectives.EVAL_THREAD_MIN), each
 batch goes to one worker thread created for the run, and the simulation
-keeps stepping while the batch's matrix product runs, which releases the
-GIL; results are collected in submission order, so the curves are the
-same bytes either way.  Smaller held-out sets are evaluated inline, where
-a batch is bound by Python overhead and a thread would only add GIL
-handoffs.  The final models are evaluated on the calling thread while the
-worker finishes its last batches.
+keeps stepping while the batch is evaluated: a batch is one matrix product
+and one pass of numpy calls over the whole chunk, each of which releases
+the GIL, so the worker takes the GIL back from the stepping thread once
+per call of that pass, not once per call per model.  Results are
+collected in submission order, so the curves are the same bytes either
+way.  Smaller held-out sets are evaluated inline, where a batch is bound
+by Python overhead and a thread would only add GIL handoffs.  The final
+models are evaluated on the calling thread while the worker finishes its
+last batches.
 """
 from __future__ import annotations
 

@@ -72,9 +72,12 @@ EVAL_BATCH = 16
 STEP_BLOCK = 8
 
 # held-out rows * features from which the harness evaluates round snapshot
-# batches on a worker thread while the simulation keeps stepping.  The worker
-# gains only where a batch's GEMM and ufunc loops, which release the GIL,
-# outweigh the GIL handoffs of its Python-level steps (CHANGES.md)
+# batches on a worker thread while the simulation keeps stepping.  A batch is
+# one GEMM and one pass of numpy calls over the whole chunk, so the worker
+# takes the GIL back from the stepping thread once per call of that pass, not
+# once per call per model.  Below this size a batch is bound by Python
+# overhead, and the worker's handoffs cost more than the overlap gains
+# (CHANGES.md)
 EVAL_THREAD_MIN = 750_000
 
 
@@ -115,6 +118,8 @@ class Dataset:
                 raise ObjectiveError(
                     f"labels shape {self.labels.shape} does not match m={self.features.shape[0]}"
                 )
+            if not np.issubdtype(self.labels.dtype, np.integer):
+                raise ObjectiveError(f"labels must be integers, got dtype {self.labels.dtype}")
             if self.labels.min() < 0:
                 raise ObjectiveError("labels must be non-negative integers")
 
@@ -185,8 +190,10 @@ class Logistic:
     class is the argmax of the logits; ties resolve to the lowest class id.
 
     evaluate_many(ws, ds) returns (loss, accuracy) for each model in a
-    list, from one pass of the logits over the dataset, with one matrix
-    product per EVAL_BATCH models.  loss() and accuracy() each take their
+    list, from one pass of the logits over the dataset: per EVAL_BATCH
+    models, one matrix product and one run of numpy calls over the chunk's
+    (m, models, classes) logits.  Labels are checked against the class
+    count once per call.  loss() and accuracy() each take their
     half of it for one model, so a caller that needs both should call
     evaluate_many once.
     """
@@ -229,31 +236,52 @@ class Logistic:
     def evaluate_many(self, ws: list[np.ndarray], ds: Dataset) -> list[tuple[float, float]]:
         for w in ws:
             self._check(w, ds, 0)
-        rows = np.arange(ds.m)
+        if not ws:
+            return []
+        labels = ds.labels
+        if labels.max() >= self.classes:
+            bad = labels[np.argmax(labels >= self.classes)]
+            raise ObjectiveError(f"label {bad} out of range for {self.classes} classes")
+        m = ds.m
+        # (m, 1, 1): each row's label, broadcast over a chunk's models
+        label_index = labels[:, None, None]
         out = []
         # a diverged model's loss is inf or NaN, which is the right answer: no warning
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, len(ws), EVAL_BATCH):
                 chunk = ws[first : first + EVAL_BATCH]
-                Ws = [w.reshape(self.classes, self.features_dim + 1) for w in chunk]
+                Ws = [w.reshape(self._W_shape) for w in chunk]
                 # one GEMM per chunk: model b owns columns b*classes.. of the
-                # product, and adding its bias copies them out as the C-ordered
-                # (m, classes) array a one-model product gives
-                stacked = ds.features @ np.concatenate([W[:, :-1] for W in Ws]).T
-                for b, (w, W) in enumerate(zip(chunk, Ws)):
-                    logits = stacked[:, b * self.classes : (b + 1) * self.classes] + W[:, -1]
-                    top = logits.argmax(axis=1)
-                    zmax = logits[rows, top]
-                    # log-sum-exp with the max term split out through log1p, and the
-                    # (zmax - picked) cancellation done before adding the small term, so
-                    # confidently-correct samples keep full relative precision
-                    rest = np.exp(logits - zmax[:, None])
-                    rest[rows, top] = 0.0
-                    picked = logits[rows, ds.labels]
-                    ce = float(np.mean((zmax - picked) + np.log1p(rest.sum(axis=1))))
+                # product, so with the biases added the product is the chunk's
+                # logits, viewed as (m, models, classes)
+                z = ds.features @ np.concatenate([W[:, :-1] for W in Ws]).T
+                z += np.concatenate([W[:, -1] for W in Ws])
+                z = z.reshape(m, len(chunk), self.classes)
+                # every step below runs once over the chunk and is elementwise, or
+                # reduces the contiguous class axis, so each model gets the bits its
+                # own (m, classes) logits would
+                top = z.argmax(axis=2)[:, :, None]
+                zmax = np.take_along_axis(z, top, axis=2)
+                # log-sum-exp with the max term split out through log1p, and the
+                # (zmax - picked) cancellation done before adding the small term, so
+                # confidently-correct samples keep full relative precision
+                ce = zmax - np.take_along_axis(z, label_index, axis=2)
+                # the logits turn into the exp terms in place, so a chunk holds
+                # one (m, models, classes) array
+                z -= zmax
+                np.exp(z, out=z)
+                np.put_along_axis(z, top, 0.0, axis=2)
+                rest = z.sum(axis=2)
+                ce = ce[:, :, 0]
+                ce += np.log1p(rest, out=rest)
+                # each model's mean over a contiguous row, which sums in the
+                # order np.mean of that model's (m,) vector does
+                losses = np.ascontiguousarray(ce.T).mean(axis=1).tolist()
+                hits = (top[:, :, 0] == labels[:, None]).sum(axis=0).tolist()
+                for w, loss, hit in zip(chunk, losses, hits):
                     if self.l2:
-                        ce += 0.5 * self.l2 * float(w @ w)
-                    out.append((ce, float(np.mean(top == ds.labels))))
+                        loss += 0.5 * self.l2 * float(w @ w)
+                    out.append((loss, hit / m))
         return out
 
     def loss(self, w: np.ndarray, ds: Dataset) -> float:
@@ -496,7 +524,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
             f"{count} images in {images_path} but {head['count']} labels in {labels_path}"
         )
 
-    features = np.frombuffer(img, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
+    # one pass from bytes to scaled floats, with no float copy of the raw bytes
+    features = np.divide(np.frombuffer(img, dtype=np.uint8, offset=16), 255.0, dtype=np.float64)
     labels = np.frombuffer(lbl, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(features.reshape(count, rows * cols), labels)
 

@@ -52,6 +52,35 @@ def reference_grad(obj: Logistic, w, ds: Dataset, idx: int) -> np.ndarray:
     return g.ravel()
 
 
+def reference_evaluate_many(obj: Logistic, ws, ds: Dataset) -> list:
+    """Logistic.evaluate_many one model at a time: the same GEMM per EVAL_BATCH
+    chunk, then each model's loss and accuracy from its own columns."""
+    rows = np.arange(ds.m)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, len(ws), EVAL_BATCH):
+            chunk = ws[first : first + EVAL_BATCH]
+            Ws = [w.reshape(obj.classes, obj.features_dim + 1) for w in chunk]
+            stacked = ds.features @ np.concatenate([W[:, :-1] for W in Ws]).T
+            for b, (w, W) in enumerate(zip(chunk, Ws)):
+                logits = stacked[:, b * obj.classes : (b + 1) * obj.classes] + W[:, -1]
+                top = logits.argmax(axis=1)
+                zmax = logits[rows, top]
+                rest = np.exp(logits - zmax[:, None])
+                rest[rows, top] = 0.0
+                picked = logits[rows, ds.labels]
+                ce = float(np.mean((zmax - picked) + np.log1p(rest.sum(axis=1))))
+                if obj.l2:
+                    ce += 0.5 * obj.l2 * float(w @ w)
+                out.append((ce, float(np.mean(top == ds.labels))))
+    return out
+
+
+def bits(results) -> list:
+    """(loss, accuracy) pairs as their float64 bytes, so NaN equals NaN."""
+    return [(np.float64(loss).tobytes(), np.float64(acc).tobytes()) for loss, acc in results]
+
+
 class TestDataset:
     def test_shape_checks(self):
         with pytest.raises(ObjectiveError):
@@ -62,6 +91,13 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ObjectiveError):
             Dataset(np.zeros((2, 2)), np.array([-1, 0]))
+
+    @pytest.mark.parametrize("labels", [np.array([0.5, 1, 1, 1]), np.ones(4), np.ones(4, bool)])
+    def test_labels_must_be_integers(self, labels):
+        # a float label would reach evaluate_many's index arrays; a whole-valued
+        # float or a bool is refused too, by dtype
+        with pytest.raises(ObjectiveError, match=f"labels must be integers, got dtype {labels.dtype}"):
+            Dataset(np.zeros((4, 2)), labels)
 
     def test_properties(self):
         ds = Dataset(np.zeros((4, 3)))
@@ -190,6 +226,14 @@ class TestLogistic:
         ds = Dataset(np.zeros((1, 2)), np.array([5]))
         with pytest.raises(ObjectiveError):
             obj.grad(np.zeros(6), ds, 0)
+        # evaluate_many checks all labels once per call and names the first bad one
+        ds = Dataset(np.zeros((5, 2)), np.array([0, 1, 5, 1, 9]))
+        with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
+            obj.evaluate_many([np.zeros(6)], ds)
+        # a label equal to the class count is out as well
+        ds = Dataset(np.zeros((2, 2)), np.array([1, 2], dtype=np.uint8))
+        with pytest.raises(ObjectiveError, match="label 2 out of range for 2 classes"):
+            obj.evaluate_many([np.zeros(6), np.ones(6)], ds)
 
     @pytest.mark.parametrize(
         "w, ds, idx",
@@ -365,6 +409,35 @@ class TestEvaluateMany:
         # two full chunks and a partial one
         ws = [rng.normal(0, 0.05, obj.dim) for _ in range(2 * EVAL_BATCH + 3)]
         assert obj.evaluate_many(ws, ds) == [obj.evaluate_many([w], ds)[0] for w in ws]
+
+    @given(st.data())
+    def test_chunk_pass_matches_one_model_at_a_time(self, data):
+        # bit for bit against the loop over models, with non-finite and huge
+        # entries; an all-zero model ties every logit, so its top class is 0
+        if data.draw(st.booleans(), label="idx shape"):
+            features_dim, classes, m = 784, 10, 40
+        else:
+            features_dim = data.draw(st.integers(1, 12), label="features_dim")
+            classes = data.draw(st.integers(2, 10), label="classes")
+            m = data.draw(st.integers(1, 30), label="m")
+        obj = Logistic(features_dim, classes, data.draw(st.sampled_from([0.0, 1e-3, 0.5])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        special = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0])
+
+        def sprinkle(a):
+            # a few entries set to drawn values, at drawn flat positions
+            for _ in range(data.draw(st.integers(0, 3))):
+                a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(special)
+            return a
+
+        features = sprinkle(rng.normal(0, 1, (m, features_dim)))
+        labels = rng.integers(0, classes, m)
+        ws = []
+        for _ in range(data.draw(st.integers(0, 2 * EVAL_BATCH + 3), label="models")):
+            scale = data.draw(st.sampled_from([0.0, 0.05, 1.0, 100.0]))
+            ws.append(sprinkle(rng.normal(0, 1, obj.dim) * scale))
+        ds = Dataset(features, labels)
+        assert bits(obj.evaluate_many(ws, ds)) == bits(reference_evaluate_many(obj, ws, ds))
 
     def test_quadratic_matches_evaluate(self):
         rng = np.random.default_rng(10)
