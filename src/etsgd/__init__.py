@@ -22,7 +22,6 @@ from .harness import (
     Metrics,
     NodeMetrics,
     export_csv,
-    export_svg_lines,
     run_experiment,
     sweep,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "complete",
     "default_threshold_schedules",
     "export_csv",
-    "export_svg_lines",
     "from_edges",
     "gaussian_cloud",
     "iteration_bound_from_round_lag",

@@ -32,8 +32,6 @@ from .harness import (
     Metrics,
     SWEEP_AXES,
     export_csv,
-    export_svg_lines,
-    loss_curves,
     run_experiment,
     sweep,
 )
@@ -234,8 +232,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         export_csv(metrics, ns.out)
     if ns.trace:
         metrics.trace.write(ns.trace)
-    if ns.svg:
-        export_svg_lines(loss_curves(metrics), ns.svg, title=cfg.name)
     _print_metrics(metrics)
     return EXIT_OK
 
@@ -332,7 +328,6 @@ def build_parser() -> _Parser:
     _add_task_flags(run_p)
     run_p.add_argument("--out", default=None, help="write metrics CSV here")
     run_p.add_argument("--trace", default=None, help="write the event trace here")
-    run_p.add_argument("--svg", default=None, help="write loss-curve SVG here")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run one experiment per axis value")
@@ -381,6 +376,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        dests = ("out", "trace", "out_images", "out_labels")
+        if empty := [k for k in dests if getattr(ns, k, None) == ""]:
+            raise ValueError(f"--{empty[0].replace('_', '-')}: expected a file path, got ''")
         return ns.func(ns)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

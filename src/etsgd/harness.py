@@ -1,4 +1,4 @@
-"""Experiment runner: config validation, metrics, sweeps, CSV and SVG export.
+"""Experiment runner: config validation, metrics, sweeps, CSV export.
 
 A run is described by a plain-data ExperimentConfig, so configs can come
 from code, from a config file, or from command-line flags without three
@@ -6,7 +6,7 @@ different shapes.  run_experiment builds the task and, for a scheduled
 run, its one Layout, drives the simulator, verifies the recorded trace
 against the configured lag bound, and packs everything, the layout
 included, into Metrics.  Runs are deterministic per seed: identical
-configs produce byte-identical CSV, SVG, and trace exports.
+configs produce byte-identical CSV and trace exports.
 
 Round snapshots are evaluated EVAL_BATCH at a time.  When the held-out
 set is large (rows * features at least objectives.EVAL_THREAD_MIN), each
@@ -66,11 +66,6 @@ _SWEEP_FIELDS = {
 SWEEP_AXES = {axis: kind for axis, (kind, _) in _SWEEP_FIELDS.items()}
 
 CSV_COLUMNS = "experiment,node,round,iter,loss,accuracy,rounds_total,messages,duration_ms,speedup"
-
-_SVG_PALETTE = (
-    "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-    "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
-)
 
 
 class ConfigError(ValueError):
@@ -439,93 +434,3 @@ def export_csv(metrics, path: str | Path) -> None:
                      m.messages, m.duration_ms, m.speedup)
                     for rnd, it, loss, acc in rows
                 )
-
-
-def loss_curves(m: Metrics) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Per-node (iteration, loss) polyline inputs for export_svg_lines."""
-    return [
-        (f"node {nm.node}", [(float(it), float(loss)) for _, it, loss, _ in nm.curve])
-        for nm in m.nodes
-        if nm.curve
-    ]
-
-
-def export_svg_lines(curves, path: str | Path, title: str = "") -> None:
-    """Render labeled polylines as a small standalone SVG chart.
-
-    Purely deterministic text output: fixed canvas, fixed palette, fixed
-    number formatting.  Good enough to eyeball convergence, not a plotting
-    library.  The axes span the finite points only, and a point with a
-    non-finite coordinate (a diverged run's loss) is left out of its line.
-    The title and labels are escaped as XML text.
-    """
-    # imported here: it loads urllib, http and email, about 7 MiB of peak RSS
-    from xml.sax.saxutils import escape
-
-    width, height = 640.0, 400.0
-    left, right, top, bottom = 60.0, 20.0, 30.0, 40.0
-    curves = [
-        (label, [(x, y) for x, y in series if math.isfinite(x) and math.isfinite(y)])
-        for label, series in curves
-    ]
-    pts = [p for _, series in curves for p in series]
-    if pts:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-    else:
-        xmin = ymin = 0.0
-        xmax = ymax = 1.0
-    if xmax == xmin:
-        xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
-
-    def sx(x: float) -> float:
-        return left + (x - xmin) / (xmax - xmin) * (width - left - right)
-
-    def sy(y: float) -> float:
-        return height - bottom - (y - ymin) / (ymax - ymin) * (height - top - bottom)
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<line x1="{left:.1f}" y1="{height - bottom:.1f}" x2="{width - right:.1f}" '
-        f'y2="{height - bottom:.1f}" stroke="black"/>',
-        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" y2="{height - bottom:.1f}" '
-        f'stroke="black"/>',
-    ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
-    out.append(
-        f'<text x="{left:.1f}" y="{height - bottom + 16:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{xmin:g}</text>'
-    )
-    out.append(
-        f'<text x="{width - right:.1f}" y="{height - bottom + 16:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{xmax:g}</text>'
-    )
-    out.append(
-        f'<text x="{left - 6:.1f}" y="{height - bottom:.1f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{ymin:.4g}</text>'
-    )
-    out.append(
-        f'<text x="{left - 6:.1f}" y="{top + 10:.1f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{ymax:.4g}</text>'
-    )
-    for i, (label, series) in enumerate(curves):
-        color = _SVG_PALETTE[i % len(_SVG_PALETTE)]
-        if series:
-            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in series)
-            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        out.append(
-            f'<text x="{width - right - 4:.1f}" y="{top + 14 * (i + 1):.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{escape(label)}</text>'
-        )
-    out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")

@@ -4,12 +4,10 @@ import csv
 import functools
 import gzip
 import io
-import re
 import struct
 import tempfile
 import warnings
 from pathlib import Path
-from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -158,22 +156,13 @@ class TestRun:
         assert "delay_check=n/a" in capsys.readouterr().out
 
     def test_output_files(self, tmp_path, capsys):
-        out, trace, svg = tmp_path / "m.csv", tmp_path / "t.trace", tmp_path / "c.svg"
+        out, trace = tmp_path / "m.csv", tmp_path / "t.trace"
         argv = ["run", "--objective", "quadratic", "--samples", "50", "--nodes", "3",
                 "--iters", "30", "--seed", "1",
-                "--out", str(out), "--trace", str(trace), "--svg", str(svg)]
+                "--out", str(out), "--trace", str(trace)]
         assert run_cli(argv) == 0
         assert out.read_text().splitlines()[0].startswith("experiment,node,round")
         assert trace.read_text().startswith("# nodes 3")
-        assert svg.read_text().startswith("<svg")
-
-    def test_svg_title_escapes_the_name(self, tmp_path):
-        svg, name = tmp_path / "t.svg", 'a<b & "c"'
-        argv = ["run", "--objective", "quadratic", "--iters", "40", "--seed", "0",
-                "--name", name, "--svg", str(svg)]
-        assert run_cli(argv) == 0
-        texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
-        assert name in texts
 
     def test_csv_quotes_the_name(self, tmp_path):
         out, name = tmp_path / "t.csv", 'a,b "c"\nd'
@@ -184,27 +173,18 @@ class TestRun:
         assert header == CSV_COLUMNS.split(",")
         assert len(rows) == 3 and all(len(row) == len(header) and row[0] == name for row in rows)
 
-    def test_diverged_run_writes_finite_svg(self, tmp_path, capsys):
-        # step size 5 on the quadratic diverges: the losses go to inf, the models to nan
-        svg = tmp_path / "d.svg"
-        argv = ["run", "--objective", "quadratic", "--step", "diminishing:5,0",
-                "--iters", "400", "--seed", "0", "--svg", str(svg)]
-        assert run_cli(argv) == 0
-        assert "loss=inf" in capsys.readouterr().out
-        text = svg.read_text()
-        assert text.startswith("<svg")
-        assert not re.search(r"nan|inf", text, re.IGNORECASE)
-
     def test_diverged_run_says_so_without_numpy_warnings(self, capsys):
-        # the final losses are non-finite; that is the answer, not a numpy fault
+        # step size 5 on the quadratic diverges: the losses go to inf, the models to nan;
+        # the final losses are non-finite, and that is the answer, not a numpy fault
         argv = ["run", "--objective", "quadratic", "--step", "diminishing:5,0",
                 "--iters", "400", "--seed", "0"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli(argv) == 0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        err = capsys.readouterr().err
-        assert "warning: 5 of 5 nodes diverged (non-finite final loss)" in err
+        captured = capsys.readouterr()
+        assert "loss=inf" in captured.out
+        assert "warning: 5 of 5 nodes diverged (non-finite final loss)" in captured.err
 
     def test_finite_run_reports_no_divergence(self, capsys):
         assert run_cli(["run", *QUAD, "--seed", "1"]) == 0
@@ -559,6 +539,35 @@ class TestInputPaths:
             assert run_cli(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and d in err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *QUAD, "--seed", "1", "--out", ""],
+        ["run", *QUAD, "--seed", "1", "--trace", ""],
+        ["sweep", *QUAD, "--seed", "1", "--axis", "d", "--values", "0,1", "--out", ""],
+        ["compare", *QUAD, "--seed", "1", "--repeats", "1", "--out", ""],
+        ["validate-trace", "--d", "1", "--trace", ""],
+    ])
+    def test_empty_path_rejected_before_any_run(self, argv, capsys, monkeypatch):
+        # read as "not given", an empty output path would run everything and write nothing
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "sweep", lambda *a: pytest.fail("swept"))
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[-2]}: expected a file path, got ''\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("empty", ["--out-images", "--out-labels"])
+    def test_empty_gen_data_path_rejected_before_writing(self, empty, tmp_path, capsys):
+        # the images are written before the labels: a late failure would leave half a pair
+        paths = {"--out-images": str(tmp_path / "i.idx"), "--out-labels": str(tmp_path / "l.idx")}
+        paths[empty] = ""
+        argv = ["gen-data", "--seed", "0", "--samples", "4"]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: expected a file path, got ''\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 # one value per settings row, as the entries of a flag (repeated for a repeatable

@@ -1,6 +1,5 @@
 """Experiment runner: config validation, metrics, sweeps, exports."""
 import itertools
-import re
 import threading
 from dataclasses import replace
 
@@ -19,8 +18,6 @@ from etsgd.harness import (
     build_task,
     build_topology,
     export_csv,
-    export_svg_lines,
-    loss_curves,
     planned_budgets,
     run_experiment,
     run_timeline,
@@ -388,37 +385,3 @@ class TestExports:
         export_csv(table, path)
         text = path.read_text()
         assert "run[d=0]" in text and "run[d=1]" in text
-
-    def test_loss_curves_shape(self):
-        m = run_experiment(quad_config(eval_every=1))
-        curves = loss_curves(m)
-        assert [label for label, _ in curves] == ["node 0", "node 1", "node 2"]
-        assert all(len(series) == 3 for _, series in curves)
-
-    def test_svg_deterministic_and_wellformed(self, tmp_path):
-        m = run_experiment(quad_config(eval_every=1))
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        export_svg_lines(loss_curves(m), a, title="losses")
-        export_svg_lines(loss_curves(m), b, title="losses")
-        assert a.read_bytes() == b.read_bytes()
-        text = a.read_text()
-        assert text.startswith("<svg")
-        assert text.count("<polyline") == 3
-        assert "losses" in text
-
-    def test_svg_leaves_out_non_finite_points(self, tmp_path):
-        path = tmp_path / "diverged.svg"
-        finite = [(0.0, 2.0), (10.0, 1.0), (20.0, 0.5)]
-        diverged = [(0.0, 1.0), (10.0, float("inf")), (20.0, float("nan")), (30.0, 3.0)]
-        export_svg_lines([("finite", finite), ("diverged", diverged)], path)
-        text = path.read_text()
-        assert not re.search(r"nan|inf", text, re.IGNORECASE)
-        lines = re.findall(r'<polyline points="([^"]*)"', text)
-        assert [len(points.split()) for points in lines] == [3, 2]
-        # the y axis spans the finite losses 0.5 to 3
-        assert ">0.5</text>" in text and ">3</text>" in text
-
-    def test_svg_empty_curves(self, tmp_path):
-        path = tmp_path / "empty.svg"
-        export_svg_lines([], path)
-        assert path.read_text().startswith("<svg")

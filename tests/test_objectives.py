@@ -342,7 +342,8 @@ class TestLogisticStepper:
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     def test_label_list_keeps_range_check(self, dtype):
         # the stepper reads labels from a list of Python ints made when it is built;
-        # load_idx gives uint8 labels, and a label equal to the class count is out
+        # a caller-built Dataset may hold any integer label dtype, unsigned ones included,
+        # and a label equal to the class count is out
         ds = Dataset(np.zeros((3, 2)), np.array([1, 0, 2], dtype=dtype))
         stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
         stepper.step(0, 0.1)
