@@ -117,6 +117,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.objective == "idx" and not (self.idx_images and self.idx_labels):
             raise ConfigError("objective 'idx' needs idx_images and idx_labels paths")
+        if self.objective == "blobs":
+            # each blob set draws its labels from every class, so it needs a row per class
+            for name, size in (("samples", self.samples), ("eval_samples", self.eval_samples)):
+                if size < self.classes:
+                    raise ConfigError(
+                        f"{name} must be >= classes={self.classes} for blobs, got {size}"
+                    )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.center is not None and len(self.center) != self.dim:
             raise ConfigError(
                 f"center must have dim={self.dim} coordinates, got {len(self.center)}"

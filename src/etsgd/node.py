@@ -10,13 +10,18 @@ runs ahead of the rounds received from each neighbor; past the configured
 lag bound it must wait.
 
 The steps run in the objective's stepper, which holds the node's model,
-gradient sum and data.  A Logistic stepper lands its steps a block of
-objectives.STEP_BLOCK at a time, so the node flushes it when it closes a
-round, before the broadcast, the round snapshot and the final model read
-them, and before it subtracts a delivery, so no block spans a payload.
-Summed in that order, Logistic weights differ from one-step-at-a-time
-updates in the last bits; the trace does not, since virtual time and the
-lag gate never read model values.
+gradient sum and data.  A Logistic stepper shows its steps in w and
+grad_sum only at a flush: a large model's lands them a block of
+objectives.STEP_BLOCK at a time, and a small model's keeps both as Python
+floats between flushes.  So the node flushes it when it closes a round,
+before the broadcast, the round snapshot and the final model read them,
+and before it subtracts a delivery, so no block spans a payload.  A flush
+also makes the next step re-read w and grad_sum, so that step sees the
+subtracted delivery and the gradient sum zeroed for the next round.
+Summed in a block's order, or with each logit summed left to right,
+Logistic weights differ from one-step-at-a-time numpy updates in the last
+bits; the trace does not, since virtual time and the lag gate never read
+model values.
 
 The slot assignment lives here too.  An Assignment holds per-node slot
 counts, budgets[i][k] being how many step slots of round k node i owns;

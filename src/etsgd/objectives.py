@@ -14,35 +14,50 @@ scale, shift), is the threshold baseline's step: w <- scale * w + shift -
 eta * g at once, after any pending steps have landed, with grad_sum left
 alone.
 
-MeanQuadratic's stepper applies each step at once.  Logistic's defers
-them, STEP_BLOCK at a time.  At one sample the softmax gradient is the
-rank-1 p x^T (x with the bias input 1 appended), and a step reads the
-model only through W x, so a pending step's logits are W x less eta times
-the pending rows' P^T (X x), and a flush lands the block with one matrix
-product D = P^T X: grad_sum += D, W -= eta * D.  An L2 term multiplies W
-by rho = 1 - eta * l2 at every step; the pending steps then weigh their
-coefficients by powers of rho, and the flush scales W by rho^k.  In exact
-arithmetic this is the dense step; in floating point the updates are
-summed in another order, so Logistic weights differ from one-step-at-a-
-time updates in the last bits, and depend on the BLAS kernel chosen for
-the block's product, as evaluate_many's do (see EVAL_BATCH).  Logistic's
-mix_step folds eta * l2 into the scale and eta into the coefficients, and
-lands the rank-1 part with one product of the (classes x 1) coefficient
-column and the (1 x features+1) sample row.
+MeanQuadratic's stepper applies each step at once.  Logistic has two
+steppers, chosen by the model's size.  A model of at most FLOAT_STEP_MAX
+parameters gets FloatLogisticStepper, which takes the plain dense step in
+Python floats: between flushes it holds w and grad_sum as lists, and a
+step makes no numpy call but the copy of its sample row (the first step
+after a flush also reads both arrays).  Each numpy call costs about half
+a microsecond whatever its length, and on a small model it moves only a
+few floats, so the float step is the faster one there; its loops cost
+per parameter, and without L2 the two steppers' steps cross between 18
+and 20 parameters, their mix_steps at 16 (timings in CHANGES.md).  Its
+logits are each class's products summed left to right, where the dense
+reference lets the BLAS sum them, so its weights differ from
+Logistic.grad's steps in the last bits; everything after the logits is
+the dense step's arithmetic.
 
-A Logistic step keeps numpy for the work whose length is the feature
-count: the sample-row copy, W x and the pending overlaps X x.  The work
-whose length is the class count runs in Python floats: the L2 scale, the
-pending correction, and the softmax and label subtract, with math.exp and
-a left-to-right sum.  Against numpy's softmax this moves the last bits:
-the C library's exp differs from numpy's for some arguments, and from 8
-classes on numpy sums the normalizer in 8 partial sums.  So Logistic
-weights also depend on the C library's exp; traces do not.  At a few
-classes this takes the step off the numpy call floor; the Python loops
-cost per class, so from about 15 classes up the step is slower than with
-numpy's softmax (timings in CHANGES.md).  No workload, golden or CLI
-default has more than 10 classes, so there is one path.  Logistic.grad,
-the dense reference, keeps the numpy softmax.
+A larger model gets LogisticStepper, which defers the steps, STEP_BLOCK
+at a time.  At one sample the softmax gradient is the rank-1 p x^T (x with
+the bias input 1 appended), and a step reads the model only through W x,
+so a pending step's logits are W x less eta times the pending rows' P^T
+(X x), and a flush lands the block with one matrix product D = P^T X:
+grad_sum += D, W -= eta * D.  An L2 term multiplies W by rho = 1 - eta *
+l2 at every step; the pending steps then weigh their coefficients by
+powers of rho, and the flush scales W by rho^k.  In exact arithmetic this
+is the dense step; in floating point the updates are summed in another
+order, so its weights differ from one-step-at-a-time updates in the last
+bits, and depend on the BLAS kernel chosen for the block's product, as
+evaluate_many's do (see EVAL_BATCH).  Its mix_step folds eta * l2 into
+the scale and eta into the coefficients, and lands the rank-1 part with
+one product of the (classes x 1) coefficient column and the (1 x
+features+1) sample row; the float stepper's mix_step does the same
+arithmetic element by element.
+
+A block step keeps numpy for the work whose length is the feature count:
+the sample-row copy, W x and the pending overlaps X x.  Both steppers run
+the work whose length is the class count in Python floats: the softmax
+and label subtract (_coefficients), with math.exp and a left-to-right
+sum, and in the block step also the L2 scale and the pending correction.
+Against numpy's softmax this moves the last bits: the C library's exp
+differs from numpy's for some arguments, and from 8 classes on numpy sums
+the normalizer in 8 partial sums.  So Logistic weights also depend on the
+C library's exp; traces do not.  From about 15 classes up this softmax is
+slower than numpy's (timings in CHANGES.md); no workload, golden or CLI
+default has more than 10 classes.  Logistic.grad, the dense reference,
+keeps the numpy softmax.
 """
 from __future__ import annotations
 
@@ -65,6 +80,15 @@ LABELS_MAGIC = 0x00000801
 # where the BLAS picks agreeing kernels for both widths, so evaluated
 # values may move in the last place with the batch (CHANGES.md)
 EVAL_BATCH = 16
+
+# the most parameters, classes * (features + 1), of a Logistic model whose
+# steps run in Python floats (FloatLogisticStepper); larger models land
+# their steps in blocks (LogisticStepper).  Without L2, the float step
+# crossed the block step between 18 and 20 parameters and the float
+# mix_step at 16, so 16 is the largest size at which neither is slower;
+# with L2 the block step costs more and its crossing comes later
+# (CHANGES.md)
+FLOAT_STEP_MAX = 16
 
 # pending Logistic steps a stepper lands with one matrix product: a longer
 # block shares one product among more steps, but each step's pending
@@ -230,7 +254,10 @@ class Logistic:
             g += self.l2 * W
         return g.ravel()
 
-    def stepper(self, w: np.ndarray, grad_sum: np.ndarray, ds: Dataset) -> "LogisticStepper":
+    def stepper(self, w: np.ndarray, grad_sum: np.ndarray,
+                ds: Dataset) -> "FloatLogisticStepper | LogisticStepper":
+        if self.dim <= FLOAT_STEP_MAX:
+            return FloatLogisticStepper(self, w, grad_sum, ds)
         return LogisticStepper(self, w, grad_sum, ds)
 
     def evaluate_many(self, ws: list[np.ndarray], ds: Dataset) -> list[tuple[float, float]]:
@@ -391,7 +418,7 @@ class LogisticStepper:
                 overlap *= self._rho[k - 1 :: -1]
             corr = np.dot(overlap, self._Pk[k]).tolist()
             z = [v - eta * c for v, c in zip(z, corr)]
-        self._P[k] = self._coefficients(z, self._labels[idx])
+        self._P[k] = _coefficients(z, self._labels[idx], self._classes)
         self._k = k = k + 1
         if k == self._block:
             self.flush()
@@ -410,30 +437,12 @@ class LogisticStepper:
             self.flush()
         x = self._rows[0]
         x[:-1] = self._features[idx]
-        p = self._coefficients(np.dot(self._W, x).tolist(), self._labels[idx])
+        p = _coefficients(np.dot(self._W, x).tolist(), self._labels[idx], self._classes)
         self._P[0] = [-eta * v for v in p]
         w = self._w
         w *= scale - eta * self._l2
         w += shift
         self._W += np.dot(self._column, self._Xk[1])
-
-    def _coefficients(self, z: list, y: int) -> list:
-        """The softmax of the logits z less 1 at label y, in Python floats."""
-        if y >= self._classes:
-            raise ObjectiveError(f"label {y} out of range for {self._classes} classes")
-        # exp never gets a positive argument, and a NaN logit makes every
-        # coefficient NaN.  The loop sums left to right on every Python; sum()
-        # compensates from 3.12 on
-        top = max(z)
-        total = 0.0
-        e = []
-        for v in z:
-            v = math.exp(v - top)
-            e.append(v)
-            total += v
-        p = [v / total for v in e]
-        p[y] -= 1.0
-        return p
 
     def flush(self) -> None:
         """Land the pending steps: one product D of their coefficients and rows."""
@@ -453,6 +462,117 @@ class LogisticStepper:
         G += D
         D *= eta
         W -= D
+
+
+class FloatLogisticStepper:
+    """Logistic's steps on a small model, one at a time in Python floats (module docstring).
+
+    Between flushes the model and the gradient sum live in two lists of
+    Python floats, in the order of w, read from w and grad_sum by the first
+    step after a flush; flush() writes them back and drops them.  So w and
+    grad_sum show no step until flush(), and whatever the caller does to
+    them between a flush and the next step, the next step sees.  The
+    shapes of the model and the dataset are checked once, here; the sample
+    index and its label on every step.
+    """
+
+    def __init__(self, objective: Logistic, w: np.ndarray, grad_sum: np.ndarray,
+                 ds: Dataset):
+        objective._check(w, ds, 0)
+        self._w, self._grad_sum = w, grad_sum
+        # Python ints, so a step reads its label without a numpy scalar
+        self._features, self._labels, self._m = ds.features, ds.labels.tolist(), ds.m
+        self._classes = objective.classes
+        self._l2 = objective.l2
+        # the lists of w and grad_sum, None while the arrays show every step
+        self._W = self._G = None
+
+    def step(self, idx: int, eta: float) -> None:
+        """The dense step, g = p x^T (+ l2 W), W -= eta * g and G += g, on the lists in place."""
+        if not 0 <= idx < self._m:
+            raise ObjectiveError(f"sample index {idx} out of range for m={self._m}")
+        W, G = self._W, self._G
+        if W is None:
+            self._W = W = self._w.tolist()
+            self._G = G = self._grad_sum.tolist()
+        x = self._features[idx].tolist()
+        x.append(1.0)
+        p = _coefficients(self._logits(W, x), self._labels[idx], self._classes)
+        l2 = self._l2
+        # one pass over the parameters, class by class; a loop that updates the
+        # lists in place costs less than new lists from comprehensions
+        i = 0
+        for c in p:
+            for v in x:
+                g = c * v
+                if l2:
+                    g += l2 * W[i]
+                W[i] -= eta * g
+                G[i] += g
+                i += 1
+
+    def mix_step(self, idx: int, eta: float, scale: float, shift: np.ndarray) -> None:
+        """w <- scale * w + shift - eta * g(w) at once, with g at sample idx; grad_sum stays.
+
+        The pending steps land first, then w is read once and written once,
+        with LogisticStepper.mix_step's arithmetic: eta * l2 folded into the
+        scale, and the rank-1 part from the coefficients times -eta.
+        """
+        if not 0 <= idx < self._m:
+            raise ObjectiveError(f"sample index {idx} out of range for m={self._m}")
+        self.flush()
+        w = self._w.tolist()
+        x = self._features[idx].tolist()
+        x.append(1.0)
+        p = _coefficients(self._logits(w, x), self._labels[idx], self._classes)
+        factor = scale - eta * self._l2
+        shift = shift.tolist()
+        i = 0
+        for c in p:
+            c *= -eta
+            for v in x:
+                w[i] = w[i] * factor + shift[i] + c * v
+                i += 1
+        self._w[:] = w
+
+    def _logits(self, W: list, x: list) -> list:
+        """W x, each class's products summed left to right."""
+        z = []
+        i = 0
+        for _ in range(self._classes):
+            total = 0.0
+            for v in x:
+                total += W[i] * v
+                i += 1
+            z.append(total)
+        return z
+
+    def flush(self) -> None:
+        """Write the lists back into w and grad_sum and drop them."""
+        if self._W is None:
+            return
+        self._w[:] = self._W
+        self._grad_sum[:] = self._G
+        self._W = self._G = None
+
+
+def _coefficients(z: list, y: int, classes: int) -> list:
+    """The softmax of the logits z less 1 at label y, in Python floats."""
+    if y >= classes:
+        raise ObjectiveError(f"label {y} out of range for {classes} classes")
+    # exp never gets a positive argument, and a NaN logit makes every
+    # coefficient NaN.  The loop sums left to right on every Python; sum()
+    # compensates from 3.12 on
+    top = max(z)
+    total = 0.0
+    e = []
+    for v in z:
+        v = math.exp(v - top)
+        e.append(v)
+        total += v
+    p = [v / total for v in e]
+    p[y] -= 1.0
+    return p
 
 
 def synthetic_blobs(seed: int, m: int, dim: int, classes: int, separation: float) -> Dataset:

@@ -66,6 +66,20 @@ class TestParsing:
         assert run_cli(["run", *QUAD, "--seed", "0", "--config", str(path)]) == 1
         assert "center must have dim=2 coordinates, got 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--seed", "0", "--eval-samples", "1"],
+             "eval_samples must be >= classes=2 for blobs, got 1"),
+            (["--seed", "0", "--samples", "1"], "samples must be >= classes=2 for blobs, got 1"),
+        ],
+        ids=["seed", "eval-samples", "samples"],
+    )
+    def test_field_out_of_range_is_named(self, argv, message, capsys):
+        assert run_cli(["run", *argv, "--iters", "10"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_straggler_syntax(self, capsys):
         for value in ("0=2", "0:x", "y:2"):
             assert run_cli(["run", *QUAD, "--seed", "1", "--straggler", value]) == 1

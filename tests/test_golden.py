@@ -6,15 +6,17 @@ build.  A hot-path change that claims to be bit-identical must leave all
 of them unchanged; a change that alters semantics on purpose says so and
 re-pins them.  The digests assume IEEE double arithmetic with the
 summation order of the numpy/BLAS build the suite runs on.  The weights
-and CSVs of the three Logistic configs also depend on the BLAS kernel
-chosen for the product that lands a block of STEP_BLOCK steps, as the
-EVAL_BATCH note says of evaluation, and on the C library's exp, which a
-stepper's softmax calls through math.exp; their traces do not, since
-virtual time and the lag gate never read model values.  The threshold
-config's weights and CSV depend on the same exp and on the rank-1 product
-through which its stepper lands each step (LogisticStepper.mix_step); its
-trace reads the model values only through the drift gate, so it keeps its
-bytes unless a broadcast sits at an exact tie.
+and CSVs of the Logistic configs depend on the C library's exp, which a
+stepper's softmax calls through math.exp.  The two blobs configs have 6
+parameters, at most objectives.FLOAT_STEP_MAX, so their steppers step in
+Python floats and sum each logit left to right; the two IDX configs have
+21 and 130, so theirs land blocks of STEP_BLOCK steps, and their weights
+and CSVs also depend on the BLAS kernel chosen for the block's product,
+as the EVAL_BATCH note says of evaluation.  No trace depends on any of
+this, since virtual time and the lag gate never read model values.  The
+threshold config's stepper lands each step with its mix_step; its trace
+reads the model values only through the drift gate, so it keeps its bytes
+unless a broadcast sits at an exact tie.
 """
 import hashlib
 import threading
@@ -78,9 +80,9 @@ def threshold_ring(_tmp_path):
 # config -> (weights, trace, csv) sha256
 GOLDEN = {
     blobs_ring: (
-        "5cb023f02974bf70b8f4f5b9fb56bb73aad83072cb918471c47b002593db94dd",
+        "ed28fae176af5e724bfd839f8df286c926fc9d0151dbc8642b82c4f594ffed38",
         "2c2dbb663c11bfc23afdb51455a74fa78475a7f8572f85cf5ea3384e52a72219",
-        "cd91096c0f9aad2b5ddb2e6598e7dddd0e045e7a8914222d107d9de38bea015f",
+        "f1f9043bade8183c849024db86627827a45bf336827570f90cbb2e595ccdab8d",
     ),
     idx_logistic: (
         "3b3e99425690b9d2ae1ccf5ab93cba350e8759b4aa5edc90c3c9d890f2d1c85b",
@@ -98,9 +100,9 @@ GOLDEN = {
         "49a3cb6affdd1703eee4eb04f30611873be3cb49a2000edaf8c834493c6610f7",
     ),
     threshold_ring: (
-        "f8424e5b4736a01f3b7cb193227780bedc45bcfde649ef5d6084cdf712a67d15",
+        "76033086ad23f083507ccbd89625445e4d5041f0b19d6028ed1751129006f1c6",
         "50c440d5eda5b4c34087ced3d0c7071547b3c93bade86539123535d6c13f3922",
-        "a9c2a914b8ec14cf7de1c5dd7e385e7bfff4bd585ae6a5178f018856d1e8676c",
+        "a432ef82f2a6c9d03d040aa95b26b476e8587564c34ba0c80f5e3362eef3699a",
     ),
 }
 
@@ -182,11 +184,14 @@ def test_worker_thread_leaves_csv_unchanged(tmp_path, monkeypatch):
 
 
 def test_step_block_leaves_trace_unchanged(tmp_path, monkeypatch):
-    # a block of 1 lands every step as it is taken, as the dense step does
+    # a block of 1 lands every step as it is taken, as the dense step does; the
+    # config's model is past FLOAT_STEP_MAX, so its steps land in blocks
+    cfg = idx_ten_classes(tmp_path)
+    assert Logistic(12, 10).dim > objectives.FLOAT_STEP_MAX
     runs = {}
     for block in (1, STEP_BLOCK):
         monkeypatch.setattr(objectives, "STEP_BLOCK", block)
-        m = run_experiment(blobs_ring(tmp_path), keep_trace=True)
+        m = run_experiment(cfg, keep_trace=True)
         path = tmp_path / f"block{block}.trace"
         m.trace.write(path)
         runs[block] = path.read_bytes(), [nm.final_w for nm in m.nodes]

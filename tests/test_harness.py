@@ -75,6 +75,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quad_config(**overrides).validate()
 
+    def test_negative_seed_is_named(self):
+        # numpy's seeding would reject it from inside build_task, without a field name
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            run_experiment(ExperimentConfig(seed=-1, iterations=10))
+
+    @pytest.mark.parametrize("field", ["samples", "eval_samples"])
+    def test_blob_set_smaller_than_the_class_count_is_named(self, field):
+        cfg = ExperimentConfig(classes=3, iterations=10, **{field: 2})
+        with pytest.raises(ConfigError, match=f"^{field} must be >= classes=3 for blobs, got 2$"):
+            cfg.validate()
+        replace(cfg, **{field: 3}).validate()
+        # a quadratic task has no classes
+        replace(cfg, objective="quadratic").validate()
+
     def test_bad_schedule_text(self):
         with pytest.raises(ScheduleError):
             quad_config(sample_schedule="nope").validate()

@@ -10,15 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from etsgd import objectives
 from etsgd.objectives import (
     EVAL_BATCH,
+    FLOAT_STEP_MAX,
     BadMagicError,
     CountMismatchError,
     Dataset,
+    FloatLogisticStepper,
     IMAGES_MAGIC,
     IdxError,
     LABELS_MAGIC,
     Logistic,
+    LogisticStepper,
     MeanQuadratic,
     ObjectiveError,
     TruncatedError,
@@ -281,50 +285,68 @@ class TestLogistic:
                 Logistic(2, 2, l2)
 
 
-LABELED = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int))
+STEPPERS = {"float": FloatLogisticStepper, "block": LogisticStepper}
 
 
+def logistic_on(path, features=2, classes=2, l2=0.0) -> Logistic:
+    """Logistic(features, classes, l2), with classes raised past FLOAT_STEP_MAX for the block path."""
+    if path == "block":
+        classes = max(classes, FLOAT_STEP_MAX // (features + 1) + 1)
+    obj = Logistic(features, classes, l2)
+    assert (obj.dim <= FLOAT_STEP_MAX) == (path == "float")
+    return obj
+
+
+@pytest.mark.parametrize("path", list(STEPPERS))
 class TestLogisticStepper:
-    @pytest.mark.parametrize(
-        "w, ds",
-        [
-            (np.zeros(7), LABELED),
-            (np.zeros((2, 3)), LABELED),
-            (np.zeros(6), Dataset(np.zeros((3, 3)), np.zeros(3, dtype=int))),
-            (np.zeros(6), Dataset(np.zeros((3, 2)))),
-        ],
-        ids=["w-length", "w-matrix", "dataset-dim", "unlabeled"],
-    )
-    def test_build_checks_shapes_once(self, w, ds):
+    @pytest.mark.parametrize("case", ["w-length", "w-matrix", "dataset-dim", "unlabeled"])
+    def test_build_checks_shapes_once(self, path, case):
+        obj = logistic_on(path)
+        w, ds = np.zeros(obj.dim), Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        if case == "w-length":
+            w = np.zeros(obj.dim + 1)
+        elif case == "w-matrix":
+            w = np.zeros(obj._W_shape)
+        elif case == "dataset-dim":
+            ds = Dataset(np.zeros((3, 3)), np.zeros(3, dtype=int))
+        else:
+            ds = Dataset(np.zeros((3, 2)))
         with pytest.raises(ObjectiveError):
-            Logistic(2, 2).stepper(w, np.zeros(w.shape), ds)
+            obj.stepper(w, np.zeros(w.shape), ds)
 
     @pytest.mark.parametrize("idx", [-1, 3])
-    def test_step_checks_index(self, idx):
-        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), LABELED)
+    def test_step_checks_index(self, path, idx):
+        obj = logistic_on(path)
+        ds = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        stepper = obj.stepper(np.zeros(obj.dim), np.zeros(obj.dim), ds)
+        assert isinstance(stepper, STEPPERS[path])
         with pytest.raises(ObjectiveError, match=f"sample index {idx} out of range for m=3"):
             stepper.step(idx, 0.1)
 
-    def test_step_checks_label(self):
-        ds = Dataset(np.zeros((2, 2)), np.array([0, 5]))
-        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
+    def test_step_checks_label(self, path):
+        obj = logistic_on(path)
+        k = obj.classes
+        ds = Dataset(np.zeros((2, 2)), np.array([0, k]))
+        stepper = obj.stepper(np.zeros(obj.dim), np.zeros(obj.dim), ds)
         stepper.step(0, 0.1)
-        with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
+        with pytest.raises(ObjectiveError, match=f"label {k} out of range for {k} classes"):
             stepper.step(1, 0.1)
 
-    def test_mix_step_checks_index_and_label(self):
-        ds = Dataset(np.zeros((2, 2)), np.array([0, 5]))
-        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
+    def test_mix_step_checks_index_and_label(self, path):
+        obj = logistic_on(path)
+        k = obj.classes
+        ds = Dataset(np.zeros((2, 2)), np.array([0, k]))
+        stepper = obj.stepper(np.zeros(obj.dim), np.zeros(obj.dim), ds)
         with pytest.raises(ObjectiveError, match="sample index 2 out of range for m=2"):
-            stepper.mix_step(2, 0.1, 1.0, np.zeros(6))
-        with pytest.raises(ObjectiveError, match="label 5 out of range for 2 classes"):
-            stepper.mix_step(1, 0.1, 1.0, np.zeros(6))
+            stepper.mix_step(2, 0.1, 1.0, np.zeros(obj.dim))
+        with pytest.raises(ObjectiveError, match=f"label {k} out of range for {k} classes"):
+            stepper.mix_step(1, 0.1, 1.0, np.zeros(obj.dim))
 
     @pytest.mark.parametrize("l2", [0.0, 0.1])
-    def test_mix_step_lands_the_block_first_and_keeps_grad_sum(self, l2):
+    def test_mix_step_lands_the_block_first_and_keeps_grad_sum(self, path, l2):
         # scale * w + shift - eta * g(w), with g read at the model the pending steps reach
-        obj = Logistic(3, 4, l2)
-        ds = synthetic_blobs(2, 30, 3, 4, 2.0)
+        obj = logistic_on(path, features=3, classes=4, l2=l2)
+        ds = synthetic_blobs(2, 30, 3, obj.classes, 2.0)
         w, grad_sum = np.zeros(obj.dim), np.zeros(obj.dim)
         stepper = obj.stepper(w, grad_sum, ds)
         w_dense, sum_dense = np.zeros(obj.dim), np.zeros(obj.dim)
@@ -340,15 +362,17 @@ class TestLogisticStepper:
         assert_close_to_dense(grad_sum, sum_dense)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
-    def test_label_list_keeps_range_check(self, dtype):
+    def test_label_list_keeps_range_check(self, path, dtype):
         # the stepper reads labels from a list of Python ints made when it is built;
         # a caller-built Dataset may hold any integer label dtype, unsigned ones included,
         # and a label equal to the class count is out
-        ds = Dataset(np.zeros((3, 2)), np.array([1, 0, 2], dtype=dtype))
-        stepper = Logistic(2, 2).stepper(np.zeros(6), np.zeros(6), ds)
+        obj = logistic_on(path)
+        k = obj.classes
+        ds = Dataset(np.zeros((3, 2)), np.array([1, 0, k], dtype=dtype))
+        stepper = obj.stepper(np.zeros(obj.dim), np.zeros(obj.dim), ds)
         stepper.step(0, 0.1)
         stepper.step(1, 0.1)
-        with pytest.raises(ObjectiveError, match="label 2 out of range for 2 classes"):
+        with pytest.raises(ObjectiveError, match=f"label {k} out of range for {k} classes"):
             stepper.step(2, 0.1)
 
     @pytest.mark.parametrize(
@@ -357,10 +381,12 @@ class TestLogisticStepper:
          (0.0, math.nan), (1.0, math.nan, -math.inf)],
     )
     @pytest.mark.parametrize("l2", [0.0, 0.1])
-    def test_non_finite_logits_make_every_coefficient_nan(self, logits, l2):
+    def test_non_finite_logits_make_every_coefficient_nan(self, path, logits, l2):
         # the softmax's max shift keeps every exp argument <= 0 or NaN, so no overflow
         # is raised, and the coefficients turn NaN as Logistic.grad's do
-        obj = Logistic(2, len(logits), l2)
+        obj = logistic_on(path, classes=len(logits), l2=l2)
+        # the block path's extra classes repeat the last logit, which keeps the case
+        logits += logits[-1:] * (obj.classes - len(logits))
         ds = Dataset(np.array([[0.5, -1.0], [2.0, 0.0]]), np.array([1, 0]))
         w = np.zeros(obj.dim)
         w.reshape(obj._W_shape)[:, -1] = logits  # the bias column: z = W x = logits
@@ -376,11 +402,11 @@ class TestLogisticStepper:
         assert np.isnan(grad_sum).all() and np.isnan(w).all()
 
     @pytest.mark.parametrize("l2", [0.0, 0.1])
-    def test_new_step_size_lands_the_block_first(self, l2):
+    def test_new_step_size_lands_the_block_first(self, path, l2):
         # a block holds the steps of one step size; the node closes a round, and so
         # flushes, before its step size changes, but a stepper does not rely on it
-        obj = Logistic(3, 4, l2)
-        ds = synthetic_blobs(2, 30, 3, 4, 2.0)
+        obj = logistic_on(path, features=3, classes=4, l2=l2)
+        ds = synthetic_blobs(2, 30, 3, obj.classes, 2.0)
         w, grad_sum = np.zeros(obj.dim), np.zeros(obj.dim)
         stepper = obj.stepper(w, grad_sum, ds)
         w_dense, sum_dense = np.zeros(obj.dim), np.zeros(obj.dim)
@@ -392,6 +418,55 @@ class TestLogisticStepper:
         stepper.flush()
         assert_close_to_dense(w, w_dense)
         assert_close_to_dense(grad_sum, sum_dense)
+
+
+def test_stepper_kind_switches_past_float_step_max(monkeypatch):
+    # FLOAT_STEP_MAX parameters still step in floats, one more lands blocks
+    obj = Logistic(3, 4)
+    ds = Dataset(np.zeros((1, 3)), np.zeros(1, dtype=int))
+    for limit, kind in ((obj.dim, FloatLogisticStepper), (obj.dim - 1, LogisticStepper)):
+        monkeypatch.setattr(objectives, "FLOAT_STEP_MAX", limit)
+        assert type(obj.stepper(np.zeros(obj.dim), np.zeros(obj.dim), ds)) is kind
+    monkeypatch.undo()
+    # the blobs workloads' 2 x 3 model steps in floats, the 784-pixel IDX one in blocks
+    for features, classes, kind in ((2, 2, FloatLogisticStepper), (784, 10, LogisticStepper)):
+        obj = Logistic(features, classes)
+        ds = Dataset(np.zeros((1, features)), np.zeros(1, dtype=int))
+        assert type(obj.stepper(np.zeros(obj.dim), np.zeros(obj.dim), ds)) is kind
+
+
+def test_float_stepper_holds_its_steps_until_flush_and_rereads_after():
+    # w and grad_sum keep their values until flush(); what the caller does to them
+    # after a flush, as a node subtracting a delivery, the next step starts from
+    obj = Logistic(2, 3, 0.05)
+    ds = synthetic_blobs(4, 20, 2, 3, 2.0)
+    w, grad_sum = np.zeros(obj.dim), np.zeros(obj.dim)
+    stepper = obj.stepper(w, grad_sum, ds)
+    assert isinstance(stepper, FloatLogisticStepper)
+    w_dense, sum_dense = np.zeros(obj.dim), np.zeros(obj.dim)
+
+    def both_step(idx):
+        stepper.step(idx, 0.2)
+        g = obj.grad(w_dense, ds, idx)
+        w_dense[:] -= 0.2 * g
+        sum_dense[:] += g
+
+    for idx in range(3):
+        both_step(idx)
+        assert not w.any() and not grad_sum.any()
+    stepper.flush()
+    assert_close_to_dense(w, w_dense)
+    assert_close_to_dense(grad_sum, sum_dense)
+    payload = np.linspace(-1.0, 1.0, obj.dim)
+    for a in (w, w_dense):
+        a -= payload
+    grad_sum.fill(0.0)
+    sum_dense.fill(0.0)
+    both_step(3)
+    assert np.array_equal(grad_sum, np.zeros(obj.dim))
+    stepper.flush()
+    assert_close_to_dense(w, w_dense)
+    assert_close_to_dense(grad_sum, sum_dense)
 
 
 class TestEvaluateMany:
