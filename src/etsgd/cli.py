@@ -300,6 +300,8 @@ def _cmd_validate_trace(ns: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(ns: argparse.Namespace) -> int:
+    if ns.samples < ns.classes:  # synthetic_blobs would name it m, not the flag
+        raise ValueError(f"--samples: expected at least --classes={ns.classes}, got {ns.samples}")
     ds = synthetic_blobs(ns.seed, ns.samples, ns.dim, ns.classes, ns.separation)
     write_idx(ns.out_images, ns.out_labels, ds)
     print(f"wrote {ds.m} samples: {ns.out_images}, {ns.out_labels}")

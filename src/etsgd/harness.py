@@ -9,7 +9,7 @@ included, into Metrics.  Runs are deterministic per seed: identical
 configs produce byte-identical CSV and trace exports.
 
 Round snapshots are evaluated EVAL_BATCH at a time.  When the held-out
-set is large (rows * features at least objectives.EVAL_THREAD_MIN), each
+set is large (rows * features at least EVAL_THREAD_MIN), each
 batch goes to one worker thread created for the run, and the simulation
 keeps stepping while the batch is evaluated: a batch is one matrix product
 and one pass of numpy calls over the whole chunk, each of which releases
@@ -32,12 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import consistency
+# baselines before consistency: loading objectives early keeps peak RSS 0.2 MiB lower (CHANGES.md)
 from .baselines import ThresholdNode, default_threshold_schedules
+from . import consistency
 from .node import ComputeNode, Layout
 from .objectives import (
     EVAL_BATCH,
-    EVAL_THREAD_MIN,
     Logistic,
     MeanQuadratic,
     gaussian_cloud,
@@ -117,6 +117,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.objective == "idx" and not (self.idx_images and self.idx_labels):
             raise ConfigError("objective 'idx' needs idx_images and idx_labels paths")
+        if self.objective in ("blobs", "quadratic"):
+            for name, size in (("samples", self.samples), ("dim", self.dim)):
+                if size < 1:
+                    raise ConfigError(f"{name} must be >= 1, got {size}")
         if self.objective == "blobs":
             # each blob set draws its labels from every class, so it needs a row per class
             for name, size in (("samples", self.samples), ("eval_samples", self.eval_samples)):
@@ -234,6 +238,16 @@ def planned_budgets(cfg: ExperimentConfig) -> Layout:
     budgets, starts = round_plan(sample_sched, cfg.per_node_iterations)
     etas = [step_size(step_sched, s) for s in starts]
     return Layout((budgets,) * cfg.n, (etas,) * cfg.n)
+
+
+# held-out rows * features from which run_experiment evaluates round snapshot
+# batches on a worker thread while the simulation keeps stepping.  A batch is
+# one GEMM and one pass of numpy calls over the whole chunk, so the worker
+# takes the GIL back from the stepping thread once per call of that pass, not
+# once per call per model.  Below this size a batch is bound by Python
+# overhead, and the worker's handoffs cost more than the overlap gains
+# (CHANGES.md)
+EVAL_THREAD_MIN = 750_000
 
 
 def run_experiment(cfg: ExperimentConfig, *, keep_trace: bool = False) -> Metrics:

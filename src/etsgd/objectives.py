@@ -95,15 +95,6 @@ FLOAT_STEP_MAX = 16
 # correction grows with it; 8 was fastest on 784 x 10 (CHANGES.md)
 STEP_BLOCK = 8
 
-# held-out rows * features from which the harness evaluates round snapshot
-# batches on a worker thread while the simulation keeps stepping.  A batch is
-# one GEMM and one pass of numpy calls over the whole chunk, so the worker
-# takes the GIL back from the stepping thread once per call of that pass, not
-# once per call per model.  Below this size a batch is bound by Python
-# overhead, and the worker's handoffs cost more than the overlap gains
-# (CHANGES.md)
-EVAL_THREAD_MIN = 750_000
-
 
 class ObjectiveError(ValueError):
     """Raised for shape mismatches and unsupported objective operations."""

@@ -73,8 +73,11 @@ class TestParsing:
             (["--seed", "0", "--eval-samples", "1"],
              "eval_samples must be >= classes=2 for blobs, got 1"),
             (["--seed", "0", "--samples", "1"], "samples must be >= classes=2 for blobs, got 1"),
+            (["--seed", "0", "--objective", "quadratic", "--samples", "0"],
+             "samples must be >= 1, got 0"),
+            (["--seed", "0", "--objective", "quadratic", "--dim", "0"], "dim must be >= 1, got 0"),
         ],
-        ids=["seed", "eval-samples", "samples"],
+        ids=["seed", "eval-samples", "samples", "quadratic-samples", "quadratic-dim"],
     )
     def test_field_out_of_range_is_named(self, argv, message, capsys):
         assert run_cli(["run", *argv, "--iters", "10"]) == 1
@@ -384,6 +387,17 @@ class TestCompare:
         assert "seed  scheduled_rounds  threshold_broadcasts  reduction" in out
         assert "3 " in out
 
+    def test_compare_out_holds_both_runs_of_each_seed(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert run_cli(["compare", *QUAD, "--seed", "3", "--repeats", "2", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        # eval-every 0 leaves one final row per node and run
+        assert [(r["experiment"], r["node"]) for r in rows] == [
+            (f"{algorithm}[seed={seed}]", str(node))
+            for seed in (3, 4) for algorithm in ("scheduled", "threshold") for node in range(3)
+        ]
+
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_repeats_below_one_rejected_before_any_run(self, repeats, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran"))
@@ -441,6 +455,24 @@ class TestValidateTrace:
         with pytest.raises(SimError, match="^nodes: expected at most 2147483648, got 2147483649"):
             Trace(2**31 + 1, ())
 
+    @pytest.mark.parametrize("record, field", [("0,grad,2147483648,1,", "round"),
+                                               ("0,grad,0,2147483648,", "h")])
+    def test_field_past_32_bits_names_line(self, tmp_path, capsys, record, field):
+        trace = tmp_path / "big.trace"
+        trace.write_text(f"# nodes 2\n# edge 0 1\ntime,node,event,round,h,detail\n0.5,{record}\n")
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {trace}:4: {field}: expected a 32-bit int, got '2147483648'\n"
+        )
+
+    def test_apply_on_a_graph_without_edges_names_the_pair(self, tmp_path, capsys):
+        trace = tmp_path / "lone.trace"
+        trace.write_text("# nodes 2\n0.5,0,apply,0,,from=1\n")
+        assert run_cli(["validate-trace", "--trace", str(trace), "--d", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {trace}: trace applies a message from 1 to non-neighbor 0\n"
+        )
+
     def test_non_utf8_trace_names_line(self, tmp_path, capsys):
         trace = tmp_path / "bad.trace"
         trace.write_bytes(b"# nodes 1\ntime,node,event,round,h,detail\n1.0,0,grad,0,1,\xff\n")
@@ -492,6 +524,14 @@ class TestDataTools:
         assert run_cli(gen) == 1
         assert "largest label is 299" in capsys.readouterr().err
         assert not img.exists()
+
+    def test_gen_data_set_smaller_than_the_class_count_names_samples(self, tmp_path, capsys):
+        img, lbl = tmp_path / "x.idx", tmp_path / "y.idx"
+        gen = ["gen-data", "--out-images", str(img), "--out-labels", str(lbl),
+               "--samples", "0", "--seed", "0"]
+        assert run_cli(gen) == 1
+        assert capsys.readouterr().err == "error: --samples: expected at least --classes=2, got 0\n"
+        assert not img.exists() and not lbl.exists()
 
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.idx"

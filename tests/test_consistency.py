@@ -189,9 +189,11 @@ class TestRoundDelayVerifier:
         assert [(v.node, v.peer, v.lag) for v in report.violations] == [(0, far, 2)]
         assert (report.checked, report.info["applies"]) == (2, 1)
 
-    def test_non_neighbor_apply_rejected(self):
-        trace = make_trace(3, ((0, 1), (1, 2)), [(1.0, 0, "apply", 0, -1, 2)])
-        with pytest.raises(ConsistencyError):
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ()], ids=["line", "no-edges"])
+    def test_non_neighbor_apply_rejected(self, edges):
+        trace = make_trace(3, edges, [(1.0, 0, "apply", 0, -1, 2)])
+        with pytest.raises(ConsistencyError,
+                           match="^trace applies a message from 2 to non-neighbor 0$"):
             verify_round_delay(trace, 1)
 
     def test_negative_bound_rejected(self):

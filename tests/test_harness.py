@@ -89,6 +89,16 @@ class TestConfigValidation:
         # a quadratic task has no classes
         replace(cfg, objective="quadratic").validate()
 
+    @pytest.mark.parametrize("objective", ["blobs", "quadratic"])
+    @pytest.mark.parametrize("field", ["samples", "dim"])
+    def test_empty_synthetic_set_is_named(self, objective, field):
+        # the data generators would name it m or dim from inside build_task
+        cfg = ExperimentConfig(objective=objective, iterations=10, **{field: 0})
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got 0$"):
+            run_experiment(cfg)
+        # an IDX task takes its sizes from the files
+        replace(cfg, objective="idx", idx_images="x", idx_labels="y").validate()
+
     def test_bad_schedule_text(self):
         with pytest.raises(ScheduleError):
             quad_config(sample_schedule="nope").validate()

@@ -143,6 +143,10 @@ class TestMeanQuadratic:
         with pytest.raises(ObjectiveError):
             MeanQuadratic(2).loss(np.zeros(2), Dataset(np.zeros((1, 3))))
 
+    def test_bad_construction(self):
+        with pytest.raises(ObjectiveError, match="^dim must be >= 1, got 0$"):
+            MeanQuadratic(0)
+
 
 class TestLogistic:
     def test_parameter_count(self):

@@ -323,6 +323,8 @@ class TestTraceIO:
             ("1.0,x,grad,0,1,", "node"),
             ("1.0,0,grad,1.5,1,", "round"),
             ("1.0,0,grad,0,h,", "h"),
+            ("1.0,0,grad,2147483648,1,", "round"),
+            ("1.0,0,grad,0,-2147483649,", "h"),
             ("1.0,0,bogus,0,1,", "event"),
             ("1.0,2,grad,0,1,", "node"),
             ("1.0,-1,grad,0,1,", "node"),
